@@ -3,12 +3,12 @@
 // virtual messages; here the same amortisation is applied to the log force).
 //
 // Workload: a locally-satisfiable increment/decrement stream at every site
-// (the paper's failure-free common case: 2 forces, 0 messages per commit)
+// (the paper's failure-free common case: 1 force, 0 messages per commit)
 // plus a periodic burst of ring redistributions, so each site continuously
 // owes its neighbour a clump of Vm transfers and acceptance acks.
 //
 // Sweep (K records, T µs) group-commit bounds with coalescing on, against the
-// force-per-append / message-per-packet baseline. Fixed seed; submissions are
+// group-commit-off / message-per-packet baseline. Fixed seed; submissions are
 // open-loop, inventory is generous, so the COMMIT OUTCOMES are identical in
 // every configuration — only the cost columns move:
 //   forces/txn    — stable-storage forces per committed transaction

@@ -3,7 +3,7 @@
 //
 // Uniform, locally-satisfiable workload, no faults. Sweep site count and
 // compare per-committed-transaction costs:
-//   DvP           — 2 log forces (commit + applied), 0 messages
+//   DvP           — 1 log force (the commit record), 0 messages
 //   PrimaryCopy   — 1 log force at the primary, 1 RPC round trip from
 //                   non-primary sites
 //   2PC write-all — prepare+decision forces at every replica, 4n messages
@@ -101,7 +101,7 @@ void Main(const std::string& json_path) {
     }
   }
   table.Print();
-  std::cout << "\nDvP's failure-free cost is flat in n (2 forces, 0 "
+  std::cout << "\nDvP's failure-free cost is flat in n (1 force, 0 "
                "messages): the paper's 'traditional database without "
                "replicated data is a trivial special case' observation. 2PC "
                "pays O(n) forces and messages per commit; primary copy pays "

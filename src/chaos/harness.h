@@ -50,7 +50,7 @@ struct WorkloadSpec {
   uint32_t dup_permille = 0;
   // New knobs append here: pinned cases are positional brace-literals, so
   // inserting above would silently re-map every reproducer in the tree.
-  /// Group-commit batch bound per site; 0 or 1 = force per append (off).
+  /// Group-commit batch bound per site; 0 or 1 = group commit off.
   uint32_t group_commit_records = 0;
   /// Group-commit timer bound; only meaningful with records >= 2.
   SimTime group_commit_delay_us = 0;

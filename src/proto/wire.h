@@ -72,10 +72,12 @@ struct VmTransferMsg final : public net::Envelope {
   /// Lamport timestamp at creation; bumps the recipient's clock (§7).
   uint64_t ts_packed = 0;
   /// Sender's closed watermark for this destination: every Vm counter below
-  /// this that the sender ever addressed to the recipient has been durably
-  /// acked (VmAckedRec forced) and will never be retransmitted. The
-  /// recipient prunes its accepted-set below it — the piggybacked cumulative
-  /// ack of §4.2 turned around to bound the *receiver's* dedup state.
+  /// this that the sender ever addressed to the recipient has been acked, and
+  /// an ack proves the recipient's acceptance was forced. The recipient
+  /// prunes its accepted-set below it — the piggybacked cumulative ack of
+  /// §4.2 turned around to bound the *receiver's* dedup state. A transfer
+  /// re-sent after a sender crash lost its unforced VmAckedRec lands below
+  /// the watermark and is re-acked as a duplicate.
   uint64_t closed_below = 0;
 
   // ---- Full-read reply metadata (meaningful when is_read_reply) ----------
@@ -117,12 +119,13 @@ struct VmAckMsg final : public net::Envelope {
 
 /// Courtesy notification that the sender's channel to the recipient drained:
 /// every Vm counter below `closed_below` that the sender ever addressed to
-/// the recipient is durably closed (VmAckedRec forced) and will never be
-/// retransmitted. Transfers piggyback the same watermark, but once the last
-/// outstanding Vm is acked there is no further transfer to carry it — without
-/// this datagram the recipient's dedup entries for the final burst would
-/// linger until the channel's next use. Best-effort: if lost, the next
-/// transfer prunes instead; the entries are volatile either way.
+/// the recipient has been acked, so its acceptance is durable (see
+/// VmTransferMsg::closed_below). Transfers piggyback the same watermark, but
+/// once the last outstanding Vm is acked there is no further transfer to
+/// carry it — without this datagram the recipient's dedup entries for the
+/// final burst would linger until the channel's next use. Best-effort: if
+/// lost, the next transfer prunes instead; the entries are volatile either
+/// way.
 struct VmClosureMsg final : public net::Envelope {
   SiteId src;
   uint64_t closed_below = 0;

@@ -37,7 +37,8 @@ struct SiteOptions {
   /// (both off by default). hints_per_frame is mirrored into the transport's
   /// max_frame_hints at build time.
   placement::PlacementOptions placement;
-  /// Group-commit force policy (off by default: force per append).
+  /// Group-commit force policy (off by default: each commit point is forced
+  /// at once).
   wal::GroupCommitOptions group_commit;
   /// Automatic checkpoint period; 0 disables (manual Checkpoint() only).
   SimTime checkpoint_interval_us = 0;

@@ -70,7 +70,7 @@ std::vector<const wal::StableStorage*> RealCluster::Storages() const {
 }
 
 Status RealCluster::AuditAll() const {
-  return verify::AuditAll(Storages(), *catalog_);
+  return verify::AuditAllBulk(Storages(), *catalog_);
 }
 
 }  // namespace dvp::system

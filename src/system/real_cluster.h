@@ -57,9 +57,9 @@ class RealCluster {
 
   /// Submits a transaction at `at` from any thread: the submission is
   /// marshalled onto that site's loop, and `cb` runs there when the
-  /// transaction settles. Fire-and-forget — rejection at Begin (site down,
-  /// invalid spec) surfaces through `cb` never being armed; drivers track
-  /// completions, not submission handles.
+  /// transaction settles. Fire-and-forget — a rejection at Begin (site down,
+  /// invalid spec) settles through `cb` with kAbortInvalid and the rejecting
+  /// status, so drivers counting completions never hang on it.
   void Submit(SiteId at, txn::TxnSpec spec, txn::TxnCallback cb);
 
   uint32_t num_sites() const { return options_.num_sites; }
@@ -70,9 +70,10 @@ class RealCluster {
 
   std::vector<const wal::StableStorage*> Storages() const;
 
-  /// Durable conservation over every item (see verify::AuditAll). Only
-  /// meaningful while the loops are stopped — the auditor replays logs the
-  /// loop threads would otherwise still be appending to.
+  /// Durable conservation over every item (see verify::AuditAllBulk: one
+  /// log pass per site, not per item). Only meaningful while the loops are
+  /// stopped — the auditor replays logs the loop threads would otherwise
+  /// still be appending to.
   Status AuditAll() const;
 
  private:

@@ -787,7 +787,8 @@ void TxnManager::OnSnapshotReq(SiteId from, const proto::SnapshotReqMsg& msg) {
   // the unforced group-commit batch. The reply leaves only at the force that
   // makes them durable — a crash before it drops the reply with the rest of
   // the volatile scheduler, so no cut ever contains a rolled-back commit.
-  // Force-per-append mode has no unforced tail and sends immediately.
+  // With group commit off every commit is forced at once, so the reply is
+  // sent immediately.
   SiteId origin = msg.origin;
   log_->OnNextForce([this, origin, reply = std::move(reply)]() mutable {
     m_snap_reply_sent_->Inc();
@@ -1045,55 +1046,27 @@ void TxnManager::Commit(PendingTxn& t) {
                     "writes", rec.writes.size());
   }
 
-  if (!log_->enabled()) {
-    // Force-per-append path: the Append below is synchronous, so the commit
-    // point passes before this function returns.
-    log_->Append(wal::LogRecord(rec));
-    t.committed = true;
-
-    // §5 step 6: apply to the local database and record that fact.
-    for (const wal::FragmentWrite& w : rec.writes) {
-      store_->SetValue(w.item, w.post_value);
-      store_->SetTs(w.item, Timestamp::FromPacked(w.post_ts_packed));
-    }
-    log_->Append(wal::LogRecord(wal::TxnAppliedRec{t.id}));
-
-    // §5 step 7.
-    locks_->ReleaseAll(t.id);
-    t.timeout.Cancel();
-    t.read_retry.Cancel();
-    t.gather_retry.Cancel();
-
-    NoteOutcome(t.id, TxnOutcome::kCommitted);
-    NoteCommitted(t);
-    result.status = Status::OK();
-    result.latency_us = rt_->Now() - t.start_time;
-    Finish(t, std::move(result));
-    return;
-  }
-
-  // Group-commit path: the commit record joins the batch buffer and the
-  // commit point is the covering force. Completion — the client callback,
-  // the committed verdict, the latency stamp — waits for it; everything
-  // volatile (store update, lock release) happens now, at the same instant
-  // it would under force-per-append, so lock timing and therefore commit
-  // outcomes are unchanged. Releasing locks before the force is sound
+  // The commit record's covering force is the commit point: at once when
+  // group commit is disabled, at the batch force when it is enabled.
+  // Completion — the client callback, the committed verdict, the latency
+  // stamp — waits for it; everything volatile (store update, lock release)
+  // happens now, so lock timing and therefore commit outcomes do not depend
+  // on the batching policy. Releasing locks before the force is sound
   // because value never escapes this site except via a Vm transfer, and
   // transfers are themselves gated on their own, later-in-log create-record
   // force. A crash before the force drops the whole unforced tail: the
-  // transaction reports site failure and its writes never existed.
+  // transaction reports site failure and its writes never existed. No
+  // separate "applied" record follows: recovery redoes every commit record
+  // from its absolute post-values (§7), so one forced record is the whole
+  // cost of a local commit.
   TxnId id = t.id;
   for (const wal::FragmentWrite& w : rec.writes) {
     store_->SetValue(w.item, w.post_value);
     store_->SetTs(w.item, Timestamp::FromPacked(w.post_ts_packed));
   }
   locks_->ReleaseAll(id);
-  t.timeout.Cancel();
-  t.read_retry.Cancel();
-  t.gather_retry.Cancel();
-  t.snap_retry.Cancel();
-  // `t` may die inside the first Append below (a full batch flushes inline,
-  // running the completion callback) — no member of `t` is touched after it.
+  // `t` may die inside the Append below (a forced record runs the
+  // completion callback inline) — no member of `t` is touched after it.
   log_->Append(wal::LogRecord(rec),
                [this, id, result = std::move(result)]() mutable {
                  auto it = pending_.find(id);
@@ -1106,7 +1079,6 @@ void TxnManager::Commit(PendingTxn& t) {
                  result.latency_us = rt_->Now() - t.start_time;
                  Finish(t, std::move(result));
                });
-  log_->Append(wal::LogRecord(wal::TxnAppliedRec{id}));
 }
 
 void TxnManager::Abort(PendingTxn& t, TxnOutcome outcome,

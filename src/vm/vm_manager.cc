@@ -116,32 +116,18 @@ VmId VmManager::CreateVm(SiteId dst, ItemId item, core::Value amount,
   ++led.created_count;
   led.created_value += amount;
 
-  if (!log_->enabled()) {
-    log_->Append(wal::LogRecord(rec));
-
-    // Database action: debit the fragment.
-    store_->SetValue(item, frag.value - amount);
-
-    OutVm out{dst, item, amount, for_txn, is_read_reply, round};
-    outbox_.emplace(id, out);
-    // Read replies are excluded from the movement counter: every reply to a
-    // reader's round is itself a Vm, so counting them would bump the count
-    // each round and no read could ever terminate.
-    if (!is_read_reply) ++lifetime_creates_;
-    m_created_->Inc();
-
-    SendTransfer(id, out);
-    return id;
-  }
-
-  // Group-commit path: the Vm is born only when the creation record's
-  // covering force completes, so the real message carrying it is deferred
-  // to that instant — a crash before the force must mean the Vm never
-  // existed, and a transfer already on the wire would contradict that. The
-  // debit and outbox entry are volatile and applied now.
+  // The Vm is born only when the creation record's covering force
+  // completes, so the real message carrying it is deferred to that instant
+  // (inline when group commit is disabled) — a crash before the force must
+  // mean the Vm never existed, and a transfer already on the wire would
+  // contradict that. The debit and outbox entry are volatile and applied
+  // now.
   store_->SetValue(item, frag.value - amount);
   OutVm out{dst, item, amount, for_txn, is_read_reply, round};
   outbox_.emplace(id, out);
+  // Read replies are excluded from the movement counter: every reply to a
+  // reader's round is itself a Vm, so counting them would bump the count
+  // each round and no read could ever terminate.
   if (!is_read_reply) ++lifetime_creates_;
   m_created_->Inc();
   log_->Append(wal::LogRecord(rec), [this, id] {
@@ -232,23 +218,12 @@ core::Value VmManager::DoAccept(const proto::VmTransferMsg& msg,
   ++led.accepted_count;
   led.accepted_value += msg.amount;
 
-  if (!log_->enabled()) {
-    log_->Append(wal::LogRecord(rec));
-
-    store_->SetValue(msg.item, frag.value + msg.amount);
-    store_->SetTs(msg.item, post_ts);
-    MarkAccepted(msg.vm);
-    m_accepted_->Inc();
-
-    SendAck(msg.vm, msg.src, msg.trace_id);
-    return msg.amount;
-  }
-
-  // Group-commit path: the Vm dies only at the covering force, so the ack —
-  // which lets the sender durably close the Vm — waits for it. The credit
-  // and dedup entry are volatile and applied now; until the force the
-  // acceptance is tracked in unforced_accepts_ so duplicate handling and the
-  // transport's consume/cum-ack logic treat the transfer as still open.
+  // The Vm dies only at the covering force (inline when group commit is
+  // disabled), so the ack — which lets the sender close the Vm — waits for
+  // it. The credit and dedup entry are volatile and applied now; until the
+  // force the acceptance is tracked in unforced_accepts_ so duplicate
+  // handling and the transport's consume/cum-ack logic treat the transfer
+  // as still open.
   store_->SetValue(msg.item, frag.value + msg.amount);
   store_->SetTs(msg.item, post_ts);
   MarkAccepted(msg.vm);
@@ -301,9 +276,10 @@ void VmManager::FinishAcked(VmId vm) {
     trace_->Instant(self_, obs::Track::kVm, "vm.closed",
                     TraceIdFor(vm, it->second.for_txn), "vm", vm.value());
   }
-  // The acked marker can ride the batch without a completion callback: it is
-  // an optimization (stops retransmission across recoveries), and losing an
-  // unforced one merely re-sends a transfer the receiver will ReAck.
+  // The acked marker is not a commit point, so it has no completion
+  // callback and rides the next force: it only stops retransmission across
+  // recoveries, and losing an unforced one merely re-sends a transfer the
+  // receiver will ReAck as a duplicate.
   log_->Append(wal::LogRecord(wal::VmAckedRec{vm}));
   outbox_.erase(it);
   transport_->CancelReliable(vm.value());

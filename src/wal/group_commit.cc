@@ -8,15 +8,15 @@ namespace dvp::wal {
 
 Lsn GroupCommitLog::Append(const LogRecord& record,
                            std::function<void()> on_durable) {
-  if (!options_.enabled) {
+  if (!options_.enabled && on_durable) {
     Lsn lsn = storage_->Append(record);
     if (trace_) {
       trace_->Instant(storage_->site(), obs::Track::kWal, "wal.append", 0,
                       "lsn", lsn.value());
       trace_->Instant(storage_->site(), obs::Track::kWal, "wal.force", 0,
-                      "records", 1);
+                      "records", storage_->last_group_records());
     }
-    if (on_durable) on_durable();
+    on_durable();
     return lsn;
   }
   Lsn lsn = storage_->AppendBuffered(record);
@@ -24,6 +24,7 @@ Lsn GroupCommitLog::Append(const LogRecord& record,
     trace_->Instant(storage_->site(), obs::Track::kWal, "wal.append", 0,
                     "lsn", lsn.value());
   }
+  if (!options_.enabled) return lsn;  // no callback: rides the next force
   if (on_durable) callbacks_.push_back(std::move(on_durable));
   if (storage_->unforced_records() >= options_.max_records ||
       storage_->unforced_bytes() >= options_.max_bytes) {

@@ -4,12 +4,13 @@
 // log-force batching): force when the batch reaches K records or B bytes, or
 // when a T-µs sim-time timer expires — whichever comes first.
 //
-// Callers that need to know when their record is durable pass an on_durable
-// callback; it runs when the covering force completes. This is how the
-// TxnManager defers commit completion and the VmManager defers transfer
-// sends and acceptance acks to the force that makes them real. Disabled
-// (the default), Append degenerates to a synchronous force-per-append with
-// the callback run inline — byte-identical to the pre-group-commit system.
+// Append is the one durability rule. A record appended with an on_durable
+// callback is forced before the callback runs: at once when group commit is
+// disabled (the default; the callback runs inline), at the K/B/T force when
+// it is enabled. This is how the TxnManager defers commit completion and the
+// VmManager defers transfer sends and acceptance acks to the force that
+// makes them real. A record appended without a callback is not a commit
+// point and rides the next force in both modes.
 //
 // Lifetime: the scheduler is part of the site's VOLATILE state (it dies with
 // a crash, its pending callbacks with it); the StableStorage it wraps is the
@@ -35,7 +36,8 @@ class TraceRecorder;
 namespace dvp::wal {
 
 struct GroupCommitOptions {
-  /// Off by default: every Append forces synchronously, callbacks inline.
+  /// Off by default: every Append with a callback forces synchronously and
+  /// runs the callback inline.
   bool enabled = false;
   /// Force when the batch holds this many records (K).
   uint32_t max_records = 8;
@@ -62,8 +64,10 @@ class GroupCommitLog {
   GroupCommitLog& operator=(const GroupCommitLog&) = delete;
 
   /// Appends `record`; `on_durable` (optional) runs once the record is
-  /// covered by a force. Disabled: synchronous force + inline callback.
-  /// Enabled: buffered append; the callback runs at the K/B/T-policy force.
+  /// covered by a force. Disabled: a record with a callback is forced at
+  /// once and the callback runs inline. Enabled: buffered append; the
+  /// callback runs at the K/B/T-policy force. Without a callback the record
+  /// is buffered in both modes and rides the next force.
   Lsn Append(const LogRecord& record,
              std::function<void()> on_durable = nullptr);
 
@@ -73,9 +77,11 @@ class GroupCommitLog {
   void Flush();
 
   /// Runs `fn` once the log's current unforced tail is durable — immediately
-  /// when nothing pends (or group commit is disabled), otherwise at the next
-  /// covering force. Unlike Append's on_durable this writes no record: it is
-  /// for actions that must not outrun durability of state they *observed*
+  /// when nothing pends, otherwise at the next covering force. Disabled, it
+  /// also runs immediately: every commit point is already forced, and the
+  /// only unforced records are Vm ack markers, which no captured fragment or
+  /// ledger depends on. Unlike Append's on_durable this writes no record: it
+  /// is for actions that must not outrun durability of state they *observed*
   /// (the snapshot reply gate — a captured cut may reflect buffered commits,
   /// so the reply waits for the force that makes them real; a crash before
   /// it drops the callback with the rest of the volatile scheduler).

@@ -8,7 +8,8 @@ namespace {
 
 enum RecordType : uint8_t {
   kTxnCommit = 1,
-  kTxnApplied = 2,
+  // 2 is retired (a per-commit "applied" marker nothing read); the other
+  // tags keep their values so every record encodes as before.
   kVmCreate = 3,
   kVmAccept = 4,
   kVmAcked = 5,
@@ -45,10 +46,6 @@ struct Encoder {
     // Optional trailing flag: only atomic-set records carry it, keeping the
     // legacy encoding byte-identical for everything else.
     if (r.atomic_set) PutVarint64(out, 1);
-  }
-  void operator()(const TxnAppliedRec& r) {
-    out->push_back(static_cast<char>(kTxnApplied));
-    PutVarint64(out, r.txn.value());
   }
   void operator()(const VmCreateRec& r) {
     out->push_back(static_cast<char>(kVmCreate));
@@ -154,11 +151,6 @@ StatusOr<LogRecord> DecodeRecord(std::string_view data) {
       }
       return LogRecord(std::move(r));
     }
-    case kTxnApplied: {
-      uint64_t txn;
-      if (!d.GetVarint64(&txn)) return bad();
-      return LogRecord(TxnAppliedRec{TxnId(txn)});
-    }
     case kVmCreate: {
       VmCreateRec r;
       uint64_t vm, dst, item, txn;
@@ -237,9 +229,6 @@ struct Printer {
   void operator()(const TxnCommitRec& r) {
     os << "TxnCommit{txn=" << r.txn.value() << " writes=" << r.writes.size()
        << (r.atomic_set ? " atomic}" : "}");
-  }
-  void operator()(const TxnAppliedRec& r) {
-    os << "TxnApplied{txn=" << r.txn.value() << "}";
   }
   void operator()(const VmCreateRec& r) {
     os << "VmCreate{vm=" << r.vm.value() << " dst=" << r.dst.value()

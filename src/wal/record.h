@@ -1,7 +1,7 @@
 // Typed log records. The paper's protocol forces exactly two kinds of
 // compound records — `[database-actions, message-sequence]` at Vm creation
 // and `[database-actions]` at Vm acceptance / transaction commit — plus
-// bookkeeping records (applied markers, Vm acks, recovery markers).
+// bookkeeping records (Vm acks, recovery markers).
 //
 // Every FragmentWrite carries the *absolute* post-state of the fragment, not
 // just the delta, so that redo is idempotent as §7 requires ("the redoing
@@ -46,13 +46,6 @@ struct TxnCommitRec {
   friend bool operator==(const TxnCommitRec&, const TxnCommitRec&) = default;
 };
 
-/// Marks that a committed transaction's writes reached the database image
-/// (§5 step 6); lets recovery skip the redo for this transaction.
-struct TxnAppliedRec {
-  TxnId txn;
-  friend bool operator==(const TxnAppliedRec&, const TxnAppliedRec&) = default;
-};
-
 /// Vm birth: `[database-actions, message-sequence]` as one record (§4.2).
 /// The local fragment is reduced by `amount`, which is now in flight to
 /// `dst`. The Vm exists from the instant this record is forced.
@@ -83,8 +76,9 @@ struct VmAcceptRec {
   friend bool operator==(const VmAcceptRec&, const VmAcceptRec&) = default;
 };
 
-/// Sender learned (durably) that `vm` was accepted: retransmission stops and
-/// the Vm leaves the outbox.
+/// Sender learned that `vm` was accepted: retransmission stops and the Vm
+/// leaves the outbox. Not a commit point — it rides the next force, and a
+/// crash that loses it only re-sends a transfer the recipient re-acks.
 struct VmAckedRec {
   VmId vm;
   friend bool operator==(const VmAckedRec&, const VmAckedRec&) = default;
@@ -125,9 +119,8 @@ struct DecisionRec {
 };
 
 using LogRecord =
-    std::variant<TxnCommitRec, TxnAppliedRec, VmCreateRec, VmAcceptRec,
-                 VmAckedRec, RecoveryRec, CheckpointRec, PrepareRec,
-                 DecisionRec>;
+    std::variant<TxnCommitRec, VmCreateRec, VmAcceptRec, VmAckedRec,
+                 RecoveryRec, CheckpointRec, PrepareRec, DecisionRec>;
 
 /// Serializes a record (type byte + payload + CRC32C trailer).
 std::string EncodeRecord(const LogRecord& record);

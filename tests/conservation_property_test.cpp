@@ -41,6 +41,10 @@ struct ConsCase {
   bool partitions;
 };
 
+// Without a printer gtest dumps the raw bytes, and the discovered CTest name
+// would carry the ASLR-randomised `name` pointer and uninitialised padding.
+void PrintTo(const ConsCase& c, std::ostream* os) { *os << c.name; }
+
 class ConservationChaosTest : public ::testing::TestWithParam<ConsCase> {};
 
 TEST_P(ConservationChaosTest, InvariantHoldsAfterEveryEvent) {

@@ -47,6 +47,10 @@ struct MultiopCase {
   bool partitions;
 };
 
+// Without a printer gtest dumps the raw bytes, and the discovered CTest name
+// would carry the ASLR-randomised `name` pointer and uninitialised padding.
+void PrintTo(const MultiopCase& c, std::ostream* os) { *os << c.name; }
+
 class MultiopChaosTest : public ::testing::TestWithParam<MultiopCase> {};
 
 TEST_P(MultiopChaosTest, CrossItemInvariantsHoldUnderFaults) {

@@ -41,6 +41,10 @@ struct NbCase {
   bool crash_remotes;
 };
 
+// Without a printer gtest dumps the raw bytes, and the discovered CTest name
+// would carry the ASLR-randomised `name` pointer and uninitialised padding.
+void PrintTo(const NbCase& c, std::ostream* os) { *os << c.name; }
+
 class NonBlockingTest : public ::testing::TestWithParam<NbCase> {};
 
 TEST_P(NonBlockingTest, EveryDecisionWithinBound) {

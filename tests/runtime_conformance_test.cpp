@@ -181,7 +181,7 @@ TEST_P(RuntimeConformanceTest, StorageForceThenCrashKeepsDurablePrefix) {
   wal::StableStorage storage((SiteId(0)));
   std::atomic<int> stage{0};
   rt().Schedule(kTickUs / 4, [&] {
-    wal::LogRecord rec = wal::TxnAppliedRec{TxnId(1)};
+    wal::LogRecord rec = wal::VmAckedRec{VmId(1)};
     storage.Append(rec);          // forced: durable
     storage.AppendBuffered(rec);  // tail: volatile
     storage.AppendBuffered(rec);
@@ -193,7 +193,7 @@ TEST_P(RuntimeConformanceTest, StorageForceThenCrashKeepsDurablePrefix) {
 
   rt().Schedule(kTickUs / 4, [&] {
     storage.ForceTail();  // closes the gap
-    storage.AppendBuffered(wal::LogRecord{wal::TxnAppliedRec{TxnId(2)}});
+    storage.AppendBuffered(wal::LogRecord{wal::VmAckedRec{VmId(2)}});
     stage = 2;
   });
   ASSERT_TRUE(WaitUntil([&] { return stage.load() == 2; }, 10 * kTickUs));

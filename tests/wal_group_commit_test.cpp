@@ -49,6 +49,27 @@ TEST_F(GroupCommitTest, DisabledModeIsForcePerAppend) {
   EXPECT_EQ(storage.unforced_records(), 0u);
 }
 
+// A record appended without a callback is not a commit point: it rides the
+// next force even with group commit off, and a crash before that loses it.
+TEST_F(GroupCommitTest, DisabledModeLetsUncallbackedRecordsRideTheNextForce) {
+  wal::GroupCommitLog log(&kernel, &storage, &counters,
+                          wal::GroupCommitOptions{});
+  log.Append(wal::LogRecord(wal::VmAckedRec{VmId(1)}));
+  EXPECT_EQ(storage.forces(), 0u);
+  EXPECT_EQ(storage.unforced_records(), 1u);
+
+  int durable = 0;
+  log.Append(Commit(1), [&] { ++durable; });
+  EXPECT_EQ(durable, 1);
+  EXPECT_EQ(storage.forces(), 1u);  // one force covers both records
+  EXPECT_EQ(storage.last_group_records(), 2u);
+  EXPECT_EQ(storage.unforced_records(), 0u);
+
+  log.Append(wal::LogRecord(wal::VmAckedRec{VmId(2)}));
+  EXPECT_EQ(storage.DropUnforcedTail(), 1u);  // the crash
+  EXPECT_EQ(storage.durable_size(), 2u);
+}
+
 TEST_F(GroupCommitTest, RecordBoundTriggersTheFlush) {
   wal::GroupCommitLog log(&kernel, &storage, &counters, Opts(4, 10'000));
   int durable = 0;

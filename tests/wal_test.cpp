@@ -124,8 +124,15 @@ LogRecord SampleRecord(int kind) {
                   FragmentWrite{ItemId(2), -3, 3, 0}};
       return r;
     }
-    case 1:
-      return TxnAppliedRec{TxnId(999)};
+    case 1: {
+      TxnCommitRec r;  // atomic-set commit: carries the trailing flag
+      r.txn = TxnId(1000);
+      r.ts_packed = 54321;
+      r.writes = {FragmentWrite{ItemId(1), 95, -5, 778},
+                  FragmentWrite{ItemId(2), 5, 5, 778}};
+      r.atomic_set = true;
+      return r;
+    }
     case 2: {
       VmCreateRec r;
       r.vm = VmId(0x0001000000000042ULL);
@@ -204,12 +211,16 @@ TEST(RecordTest, DecodeRejectsShortBuffer) {
 }
 
 TEST(RecordTest, DecodeRejectsUnknownType) {
-  std::string body(1, char(99));
-  std::string buf;
-  PutFixed32(&buf, Crc32c(body));
-  buf += body;
-  auto decoded = DecodeRecord(buf);
-  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  // 99 was never a tag; 2 is retired and must not decode as anything else.
+  for (char type : {char(99), char(2)}) {
+    std::string body(1, type);
+    body.push_back(char(7));
+    std::string buf;
+    PutFixed32(&buf, Crc32c(body));
+    buf += body;
+    auto decoded = DecodeRecord(buf);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
 }
 
 // ---- StableStorage ---------------------------------------------------------------
@@ -217,7 +228,7 @@ TEST(RecordTest, DecodeRejectsUnknownType) {
 TEST(StableStorageTest, AppendAssignsDenseLsns) {
   StableStorage storage((SiteId(0)));
   EXPECT_EQ(storage.Append(CheckpointRec{}).value(), 0u);
-  EXPECT_EQ(storage.Append(TxnAppliedRec{TxnId(1)}).value(), 1u);
+  EXPECT_EQ(storage.Append(VmAckedRec{VmId(1)}).value(), 1u);
   EXPECT_EQ(storage.log_size(), 2u);
   EXPECT_EQ(storage.forces(), 2u);
   EXPECT_GT(storage.log_bytes(), 0u);
@@ -225,22 +236,22 @@ TEST(StableStorageTest, AppendAssignsDenseLsns) {
 
 TEST(StableStorageTest, ReadDecodesByLsn) {
   StableStorage storage((SiteId(0)));
-  storage.Append(TxnAppliedRec{TxnId(7)});
+  storage.Append(VmAckedRec{VmId(7)});
   auto rec = storage.Read(Lsn(0));
   ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(std::get<TxnAppliedRec>(rec.value()).txn, TxnId(7));
+  EXPECT_EQ(std::get<VmAckedRec>(rec.value()).vm, VmId(7));
   EXPECT_FALSE(storage.Read(Lsn(5)).ok());
 }
 
 TEST(StableStorageTest, ScanVisitsSuffixInOrder) {
   StableStorage storage((SiteId(0)));
-  for (uint64_t i = 0; i < 5; ++i) storage.Append(TxnAppliedRec{TxnId(i)});
+  for (uint64_t i = 0; i < 5; ++i) storage.Append(VmAckedRec{VmId(i)});
   std::vector<uint64_t> seen;
   ASSERT_TRUE(storage
                   .Scan(2,
                         [&](Lsn lsn, const LogRecord& rec) {
                           seen.push_back(lsn.value());
-                          EXPECT_EQ(std::get<TxnAppliedRec>(rec).txn.value(),
+                          EXPECT_EQ(std::get<VmAckedRec>(rec).vm.value(),
                                     lsn.value());
                         })
                   .ok());
@@ -249,7 +260,7 @@ TEST(StableStorageTest, ScanVisitsSuffixInOrder) {
 
 TEST(StableStorageTest, ScanReportsCorruption) {
   StableStorage storage((SiteId(0)));
-  storage.Append(TxnAppliedRec{TxnId(1)});
+  storage.Append(VmAckedRec{VmId(1)});
   ASSERT_TRUE(storage.CorruptRecordForTest(Lsn(0), 5).ok());
   Status s = storage.Scan(0, [](Lsn, const LogRecord&) {});
   EXPECT_EQ(s.code(), StatusCode::kCorruption);

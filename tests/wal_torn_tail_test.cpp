@@ -247,8 +247,8 @@ TEST(WalTornTail, SiteCrashMidBatchAbortsOnlyTheUnforcedGroup) {
                     .ok());
   }
   cluster.RunFor(10'000);  // records appended; timer (100ms) has not fired
-  // Two records per commit (TxnCommitRec + the applied marker), all buffered.
-  ASSERT_EQ(cluster.storage(SiteId(2)).unforced_records(), 6u);
+  // One record per commit (its TxnCommitRec), all buffered.
+  ASSERT_EQ(cluster.storage(SiteId(2)).unforced_records(), 3u);
   EXPECT_TRUE(phase2.empty()) << "completion must wait for the force";
 
   cluster.CrashSite(SiteId(2));
@@ -257,7 +257,7 @@ TEST(WalTornTail, SiteCrashMidBatchAbortsOnlyTheUnforcedGroup) {
     EXPECT_EQ(r.outcome, txn::TxnOutcome::kAbortSiteFailure);
   }
   EXPECT_EQ(cluster.site(SiteId(2)).counters().Get("wal.dropped_unforced"),
-            6u);
+            3u);
   EXPECT_EQ(cluster.storage(SiteId(2)).log_size(), durable_before);
 
   cluster.RecoverSite(SiteId(2));
@@ -265,6 +265,101 @@ TEST(WalTornTail, SiteCrashMidBatchAbortsOnlyTheUnforcedGroup) {
   ASSERT_TRUE(cluster.site(SiteId(2)).IsUp());
   // 40 bootstrap + 2 phase-1 increments; the three unforced +5s never were.
   EXPECT_EQ(cluster.site(SiteId(2)).LocalValue(item), 42);
+  EXPECT_TRUE(cluster.AuditAll().ok());
+  EXPECT_TRUE(cluster.AuditAllVolatile().ok());
+}
+
+/// Two sites with 40 units each; site 0 decrements 50, so it must gather
+/// the 10-unit shortfall from site 1 (the donor). Returns the outcome.
+txn::TxnResult GatherFromDonor(system::Cluster& cluster, ItemId item) {
+  txn::TxnResult out;
+  txn::TxnSpec spec;
+  spec.ops = {txn::TxnOp::Decrement(item, 50)};
+  EXPECT_TRUE(cluster
+                  .Submit(SiteId(0), spec,
+                          [&out](const txn::TxnResult& r) { out = r; })
+                  .ok());
+  cluster.RunFor(500'000);
+  return out;
+}
+
+// With group commit off, each commit point costs exactly one force: a local
+// commit appends and forces its TxnCommitRec and nothing else. The donor's
+// VmAckedRec is not a commit point; it waits, unforced, for the next force.
+TEST(WalTornTail, LocalCommitForcesOnceAndTheAckMarkerRidesTheNextForce) {
+  core::Catalog catalog;
+  ItemId item = catalog.AddItem("d", CountDomain::Instance(), 80);
+  system::ClusterOptions opts;
+  opts.num_sites = 2;
+  system::Cluster cluster(&catalog, opts);
+  cluster.BootstrapEven();
+
+  const wal::StableStorage& local = cluster.storage(SiteId(0));
+  uint64_t forces = local.forces(), size = local.log_size();
+  txn::TxnSpec inc;
+  inc.ops = {txn::TxnOp::Increment(item, 1)};
+  ASSERT_TRUE(cluster.Submit(SiteId(0), inc, nullptr).ok());
+  cluster.RunFor(100'000);
+  EXPECT_EQ(local.forces(), forces + 1);
+  EXPECT_EQ(local.log_size(), size + 1);
+  EXPECT_EQ(local.unforced_records(), 0u);
+
+  ASSERT_EQ(GatherFromDonor(cluster, item).outcome,
+            txn::TxnOutcome::kCommitted);
+  const wal::StableStorage& donor = cluster.storage(SiteId(1));
+  ASSERT_EQ(cluster.site(SiteId(1)).counters().Get("vm.acked"), 1u);
+  ASSERT_EQ(donor.unforced_records(), 1u);
+  auto last = donor.Read(Lsn(donor.log_size() - 1));
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(std::holds_alternative<wal::VmAckedRec>(last.value()));
+  EXPECT_TRUE(cluster.AuditAll().ok());
+}
+
+// The one crash window an unforced VmAckedRec opens: the donor crashes after
+// the ack arrived but before its next force. Recovery finds the Vm still in
+// the outbox and re-sends it; the receiver already accepted it durably, so it
+// re-acks the transfer as a duplicate and the value lands exactly once.
+TEST(WalTornTail, DonorCrashBeforeAckMarkerForceReAcksTheTransfer) {
+  core::Catalog catalog;
+  ItemId item = catalog.AddItem("d", CountDomain::Instance(), 80);
+  system::ClusterOptions opts;
+  opts.num_sites = 2;
+  system::Cluster cluster(&catalog, opts);
+  cluster.BootstrapEven();
+
+  ASSERT_EQ(GatherFromDonor(cluster, item).outcome,
+            txn::TxnOutcome::kCommitted);
+  ASSERT_EQ(cluster.storage(SiteId(1)).unforced_records(), 1u);
+  const CounterSet before = cluster.site(SiteId(0)).counters();
+  const uint64_t accepted = before.Get("vm.accepted");
+  const uint64_t duplicates = before.Get("vm.duplicate");
+  ASSERT_EQ(accepted, 1u);
+
+  cluster.CrashSite(SiteId(1));
+  EXPECT_EQ(cluster.site(SiteId(1)).counters().Get("wal.dropped_unforced"),
+            1u);
+  cluster.RecoverSite(SiteId(1));
+  cluster.RunFor(1'000'000);
+  ASSERT_TRUE(cluster.site(SiteId(1)).IsUp());
+
+  const CounterSet receiver = cluster.site(SiteId(0)).counters();
+  EXPECT_EQ(receiver.Get("vm.duplicate"), duplicates + 1);
+  EXPECT_EQ(receiver.Get("vm.accepted"), accepted);
+  uint64_t accept_records = 0;
+  ASSERT_TRUE(cluster.storage(SiteId(0))
+                  .Scan(0,
+                        [&](Lsn, const wal::LogRecord& rec) {
+                          accept_records +=
+                              std::holds_alternative<wal::VmAcceptRec>(rec);
+                        })
+                  .ok());
+  EXPECT_EQ(accept_records, 1u);
+  // 80 - 50: the 10 gathered units count once, at site 0.
+  EXPECT_EQ(cluster.site(SiteId(0)).LocalValue(item) +
+                cluster.site(SiteId(1)).LocalValue(item),
+            30);
+  EXPECT_EQ(cluster.site(SiteId(1)).counters().Get("vm.acked"), 2u);
+  EXPECT_EQ(cluster.storage(SiteId(1)).unforced_records(), 1u);
   EXPECT_TRUE(cluster.AuditAll().ok());
   EXPECT_TRUE(cluster.AuditAllVolatile().ok());
 }
