@@ -4,7 +4,8 @@
 //
 //  * net::Network (network.h) — the simulated wire: per-pair Link fault
 //    models, PartitionOracle, delivery as a kernel event. Packets cross as
-//    shared C++ objects; EncodedSize() is a modeled byte ledger.
+//    shared C++ objects, each envelope priced at its packet-codec length
+//    (WireBytes in message.h).
 //  * runtime::Real's UDP conduit (runtime/real.h) — real loopback UDP
 //    datagrams framed with the Packet byte codec (proto/packet_codec.h),
 //    received on the destination site's event-loop thread.

@@ -18,9 +18,9 @@
 
 namespace dvp::net {
 
-/// Fixed overhead every envelope pays on the (modeled) wire: message kind,
-/// trace id. The simulator never serializes for real; sizes are the byte
-/// ledger the experiment harness charges traffic against.
+/// Price of an envelope with no byte encoding (baseline 2PC and
+/// primary-copy messages, test payloads). Proto messages are priced by the
+/// packet codec instead (proto::Message in proto/wire.h).
 inline constexpr size_t kEnvelopeHeaderBytes = 16;
 
 /// Base class for all application payloads carried by the network.
@@ -31,15 +31,15 @@ class Envelope {
   /// Short human-readable tag for tracing (e.g. "VmTransfer", "Request").
   virtual std::string_view Tag() const = 0;
 
-  /// Modeled serialized size of this payload, header included. Subclasses
-  /// with variable-length bodies override; the default covers the fixed
-  /// header only.
+  /// Serialized size of this payload. proto::Message overrides it with the
+  /// length of its packet-codec blob; the default is the fixed price of a
+  /// payload the codec does not know.
   virtual size_t EncodedSize() const { return kEnvelopeHeaderBytes; }
 
   /// Encode-once size: computed on first use and cached, the same trick
   /// GroupCommitLog::EncodeRecordTo plays for log records. Every
   /// retransmission, duplicate, and coalesced frame the envelope rides
-  /// reuses the cached figure instead of re-walking the message.
+  /// reuses the cached figure instead of encoding the message again.
   size_t WireSize() const {
     if (wire_size_ == 0) wire_size_ = EncodedSize();
     return wire_size_;
@@ -203,7 +203,8 @@ struct Packet {
 
   /// Encode-once slot, set by the transport for reliable sends when the
   /// conduit opted in (Conduit::WantsFrameCache). Null everywhere else —
-  /// the sim network ships packets as shared objects and never encodes.
+  /// the sim network ships packets as shared objects and never encodes a
+  /// whole frame.
   FrameCachePtr frame_cache;
 };
 
@@ -221,16 +222,18 @@ inline void FrameCache::Fingerprint(const Packet& p) {
   hints = p.hints;
 }
 
-/// Modeled wire-size constants for the non-payload parts of a packet.
+/// Wire-size constants for the non-payload parts of a packet. These are
+/// still modeled: the sim network cannot reach the packet codec, so its
+/// header, ack, hint and rider-header bytes differ from a real frame's.
 inline constexpr size_t kPacketHeaderBytes = 32;  ///< src,dst,class,epoch,seqs
 inline constexpr size_t kAckBytes = 17;           ///< ack_epoch,ack_cum,flag
 inline constexpr size_t kHintBytes = 28;          ///< item,surplus,demand,stamp
 inline constexpr size_t kSubMsgHeaderBytes = 9;   ///< class,seq
 
-/// Total modeled bytes the packet occupies on the wire. Payload and rider
-/// sizes come from the envelopes' cached WireSize(), so a coalesced frame is
-/// costed without re-walking any sub-message and a retransmission reuses
-/// every figure from the first send.
+/// Total bytes the sim charges for the packet: the modeled header parts plus
+/// the envelopes' cached WireSize(), so a coalesced frame is costed without
+/// re-encoding any sub-message and a retransmission reuses every figure from
+/// the first send.
 inline size_t WireBytes(const Packet& p) {
   size_t bytes = kPacketHeaderBytes;
   if (p.has_ack) bytes += kAckBytes;

@@ -1,8 +1,8 @@
 #include "proto/packet_codec.h"
 
+#include <limits>
 #include <utility>
 
-#include "proto/snapshot_codec.h"
 #include "proto/wire.h"
 #include "wal/encoding.h"
 
@@ -32,6 +32,29 @@ bool GetBool(wal::Decoder* dec, bool* v) {
   return true;
 }
 
+bool GetU32(wal::Decoder* dec, uint32_t* v) {
+  uint64_t raw = 0;
+  if (!dec->GetVarint64(&raw) || raw > std::numeric_limits<uint32_t>::max()) {
+    return false;
+  }
+  *v = static_cast<uint32_t>(raw);
+  return true;
+}
+
+// Reads one id. A value wider than the id type (a site id of 2^32, say) is
+// corruption, never narrowed onto another id.
+template <typename Id>
+bool GetId(wal::Decoder* dec, Id* id) {
+  typename Id::underlying_type raw = 0;
+  if constexpr (sizeof(raw) == sizeof(uint32_t)) {
+    if (!GetU32(dec, &raw)) return false;
+  } else {
+    if (!dec->GetVarint64(&raw)) return false;
+  }
+  *id = Id(raw);
+  return true;
+}
+
 void EncodeRequest(std::string* body, const RequestMsg& m) {
   wal::PutVarint64(body, m.txn.value());
   wal::PutVarint64(body, m.ts_packed);
@@ -49,30 +72,24 @@ void EncodeRequest(std::string* body, const RequestMsg& m) {
 
 StatusOr<net::EnvelopePtr> DecodeRequest(wal::Decoder& dec) {
   auto m = net::MakeEnvelope<RequestMsg>();
-  uint64_t txn = 0, ts = 0, origin = 0, round = 0, flags = 0, n = 0;
-  if (!dec.GetVarint64(&txn) || !dec.GetVarint64(&ts) ||
-      !dec.GetVarint64(&origin) || !dec.GetVarint64(&round) ||
+  uint64_t flags = 0, n = 0;
+  if (!GetId(&dec, &m->txn) || !dec.GetVarint64(&m->ts_packed) ||
+      !GetId(&dec, &m->origin) || !GetU32(&dec, &m->round) ||
       !dec.GetVarint64(&flags) || flags > 3 || !dec.GetVarint64(&n)) {
     return Status::Corruption("request: truncated header");
   }
   if (n > dec.remaining()) {
     return Status::Corruption("request: part count exceeds frame");
   }
-  m->txn = TxnId(txn);
-  m->ts_packed = ts;
-  m->origin = SiteId(static_cast<uint32_t>(origin));
-  m->round = static_cast<uint32_t>(round);
   m->want_surplus_nack = (flags & 1) != 0;
   m->atomic_set = (flags & 2) != 0;
   m->parts.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     RequestPart p;
-    uint64_t item = 0;
-    if (!dec.GetVarint64(&item) || !dec.GetVarsint64(&p.amount) ||
+    if (!GetId(&dec, &p.item) || !dec.GetVarsint64(&p.amount) ||
         !GetBool(&dec, &p.read_all)) {
       return Status::Corruption("request: truncated part");
     }
-    p.item = ItemId(static_cast<uint32_t>(item));
     m->parts.push_back(p);
   }
   return net::EnvelopePtr(std::move(m));
@@ -94,21 +111,15 @@ void EncodeVmTransfer(std::string* body, const VmTransferMsg& m) {
 
 StatusOr<net::EnvelopePtr> DecodeVmTransfer(wal::Decoder& dec) {
   auto m = net::MakeEnvelope<VmTransferMsg>();
-  uint64_t vm = 0, src = 0, item = 0, txn = 0, round = 0;
-  if (!dec.GetVarint64(&vm) || !dec.GetVarint64(&src) ||
-      !dec.GetVarint64(&item) || !dec.GetVarsint64(&m->amount) ||
-      !dec.GetVarint64(&txn) || !dec.GetVarint64(&m->ts_packed) ||
+  if (!GetId(&dec, &m->vm) || !GetId(&dec, &m->src) ||
+      !GetId(&dec, &m->item) || !dec.GetVarsint64(&m->amount) ||
+      !GetId(&dec, &m->for_txn) || !dec.GetVarint64(&m->ts_packed) ||
       !dec.GetVarint64(&m->closed_below) ||
-      !GetBool(&dec, &m->is_read_reply) || !dec.GetVarint64(&round) ||
+      !GetBool(&dec, &m->is_read_reply) || !GetU32(&dec, &m->round) ||
       !dec.GetVarint64(&m->accept_count) ||
       !dec.GetVarint64(&m->create_count)) {
     return Status::Corruption("vm transfer: truncated");
   }
-  m->vm = VmId(vm);
-  m->src = SiteId(static_cast<uint32_t>(src));
-  m->item = ItemId(static_cast<uint32_t>(item));
-  m->for_txn = TxnId(txn);
-  m->round = static_cast<uint32_t>(round);
   return net::EnvelopePtr(std::move(m));
 }
 
@@ -120,13 +131,10 @@ void EncodeVmAck(std::string* body, const VmAckMsg& m) {
 
 StatusOr<net::EnvelopePtr> DecodeVmAck(wal::Decoder& dec) {
   auto m = net::MakeEnvelope<VmAckMsg>();
-  uint64_t vm = 0, from = 0;
-  if (!dec.GetVarint64(&vm) || !dec.GetVarint64(&from) ||
+  if (!GetId(&dec, &m->vm) || !GetId(&dec, &m->from) ||
       !dec.GetVarint64(&m->ts_packed)) {
     return Status::Corruption("vm ack: truncated");
   }
-  m->vm = VmId(vm);
-  m->from = SiteId(static_cast<uint32_t>(from));
   return net::EnvelopePtr(std::move(m));
 }
 
@@ -137,11 +145,9 @@ void EncodeVmClosure(std::string* body, const VmClosureMsg& m) {
 
 StatusOr<net::EnvelopePtr> DecodeVmClosure(wal::Decoder& dec) {
   auto m = net::MakeEnvelope<VmClosureMsg>();
-  uint64_t src = 0;
-  if (!dec.GetVarint64(&src) || !dec.GetVarint64(&m->closed_below)) {
+  if (!GetId(&dec, &m->src) || !dec.GetVarint64(&m->closed_below)) {
     return Status::Corruption("vm closure: truncated");
   }
-  m->src = SiteId(static_cast<uint32_t>(src));
   return net::EnvelopePtr(std::move(m));
 }
 
@@ -152,11 +158,9 @@ void EncodeCcNack(std::string* body, const CcNackMsg& m) {
 
 StatusOr<net::EnvelopePtr> DecodeCcNack(wal::Decoder& dec) {
   auto m = net::MakeEnvelope<CcNackMsg>();
-  uint64_t from = 0;
-  if (!dec.GetVarint64(&from) || !dec.GetVarint64(&m->ts_packed)) {
+  if (!GetId(&dec, &m->from) || !dec.GetVarint64(&m->ts_packed)) {
     return Status::Corruption("cc nack: truncated");
   }
-  m->from = SiteId(static_cast<uint32_t>(from));
   return net::EnvelopePtr(std::move(m));
 }
 
@@ -168,13 +172,85 @@ void EncodeSurplusNack(std::string* body, const SurplusNackMsg& m) {
 
 StatusOr<net::EnvelopePtr> DecodeSurplusNack(wal::Decoder& dec) {
   auto m = net::MakeEnvelope<SurplusNackMsg>();
-  uint64_t from = 0, item = 0;
-  if (!dec.GetVarint64(&from) || !dec.GetVarint64(&item) ||
+  if (!GetId(&dec, &m->from) || !GetId(&dec, &m->item) ||
       !dec.GetVarint64(&m->ts_packed)) {
     return Status::Corruption("surplus nack: truncated");
   }
-  m->from = SiteId(static_cast<uint32_t>(from));
-  m->item = ItemId(static_cast<uint32_t>(item));
+  return net::EnvelopePtr(std::move(m));
+}
+
+void EncodeSnapshotReq(std::string* body, const SnapshotReqMsg& m) {
+  wal::PutVarint64(body, m.txn.value());
+  wal::PutVarint64(body, m.ts_packed);
+  wal::PutVarint64(body, m.origin.value());
+  wal::PutVarint64(body, m.round);
+  wal::PutVarint64(body, m.items.size());
+  for (ItemId item : m.items) wal::PutVarint64(body, item.value());
+}
+
+StatusOr<net::EnvelopePtr> DecodeSnapshotReq(wal::Decoder& dec) {
+  auto m = net::MakeEnvelope<SnapshotReqMsg>();
+  uint64_t n = 0;
+  if (!GetId(&dec, &m->txn) || !dec.GetVarint64(&m->ts_packed) ||
+      !GetId(&dec, &m->origin) || !GetU32(&dec, &m->round) ||
+      !dec.GetVarint64(&n)) {
+    return Status::Corruption("snapshot request: truncated header");
+  }
+  // An item id per remaining byte at minimum: a forged huge count must not
+  // drive a huge allocation before the per-item reads fail.
+  if (n > dec.remaining()) {
+    return Status::Corruption("snapshot request: item count exceeds frame");
+  }
+  m->items.resize(n);
+  for (ItemId& item : m->items) {
+    if (!GetId(&dec, &item)) {
+      return Status::Corruption("snapshot request: truncated item list");
+    }
+  }
+  return net::EnvelopePtr(std::move(m));
+}
+
+void EncodeSnapshotReply(std::string* body, const SnapshotReplyMsg& m) {
+  wal::PutVarint64(body, m.txn.value());
+  wal::PutVarint64(body, m.from.value());
+  wal::PutVarint64(body, m.round);
+  wal::PutVarint64(body, m.ts_packed);
+  wal::PutVarint64(body, m.entries.size());
+  for (const SnapshotEntry& e : m.entries) {
+    wal::PutVarint64(body, e.item.value());
+    wal::PutVarsint64(body, e.fragment);
+    wal::PutVarint64(body, e.frag_ts_packed);
+    wal::PutVarint64(body, e.created_count);
+    wal::PutVarsint64(body, e.created_value);
+    wal::PutVarint64(body, e.accepted_count);
+    wal::PutVarsint64(body, e.accepted_value);
+    wal::PutVarint64(body, e.closed_below);
+  }
+}
+
+StatusOr<net::EnvelopePtr> DecodeSnapshotReply(wal::Decoder& dec) {
+  auto m = net::MakeEnvelope<SnapshotReplyMsg>();
+  uint64_t n = 0;
+  if (!GetId(&dec, &m->txn) || !GetId(&dec, &m->from) ||
+      !GetU32(&dec, &m->round) || !dec.GetVarint64(&m->ts_packed) ||
+      !dec.GetVarint64(&n)) {
+    return Status::Corruption("snapshot reply: truncated header");
+  }
+  if (n > dec.remaining()) {
+    return Status::Corruption("snapshot reply: entry count exceeds frame");
+  }
+  m->entries.resize(n);
+  for (SnapshotEntry& e : m->entries) {
+    if (!GetId(&dec, &e.item) || !dec.GetVarsint64(&e.fragment) ||
+        !dec.GetVarint64(&e.frag_ts_packed) ||
+        !dec.GetVarint64(&e.created_count) ||
+        !dec.GetVarsint64(&e.created_value) ||
+        !dec.GetVarint64(&e.accepted_count) ||
+        !dec.GetVarsint64(&e.accepted_value) ||
+        !dec.GetVarint64(&e.closed_below)) {
+      return Status::Corruption("snapshot reply: truncated entry");
+    }
+  }
   return net::EnvelopePtr(std::move(m));
 }
 
@@ -226,7 +302,54 @@ void AppendBodyAfterDst(const net::Packet& p, std::string* out,
   }
 }
 
+// The kind byte of a codec-known envelope; 0 for any other type.
+uint8_t KindOf(const net::Envelope& env) {
+  std::string_view tag = env.Tag();
+  if (tag == "Request") return kKindRequest;
+  if (tag == "VmTransfer") return kKindVmTransfer;
+  if (tag == "VmAck") return kKindVmAck;
+  if (tag == "VmClosure") return kKindVmClosure;
+  if (tag == "CcNack") return kKindCcNack;
+  if (tag == "SurplusNack") return kKindSurplusNack;
+  if (tag == "SnapshotReq") return kKindSnapshotReq;
+  if (tag == "SnapshotReply") return kKindSnapshotReply;
+  return 0;
+}
+
+// The one site id each kind names: the requester, the Vm's or closure's
+// sender, or the acking, refusing or replying site.
+SiteId NamedSite(const net::Envelope& env) {
+  switch (KindOf(env)) {
+    case kKindRequest:
+      return static_cast<const RequestMsg&>(env).origin;
+    case kKindVmTransfer:
+      return static_cast<const VmTransferMsg&>(env).src;
+    case kKindVmAck:
+      return static_cast<const VmAckMsg&>(env).from;
+    case kKindVmClosure:
+      return static_cast<const VmClosureMsg&>(env).src;
+    case kKindCcNack:
+      return static_cast<const CcNackMsg&>(env).from;
+    case kKindSurplusNack:
+      return static_cast<const SurplusNackMsg&>(env).from;
+    case kKindSnapshotReq:
+      return static_cast<const SnapshotReqMsg&>(env).origin;
+    case kKindSnapshotReply:
+      return static_cast<const SnapshotReplyMsg&>(env).from;
+  }
+  return SiteId::Invalid();
+}
+
 }  // namespace
+
+size_t Message::EncodedSize() const {
+  // One scratch buffer per thread: its capacity warms up once, and loop
+  // threads of the real runtime may price envelopes concurrently.
+  thread_local std::string scratch;
+  scratch.clear();
+  EncodeEnvelopeTo(*this, &scratch);
+  return scratch.size();
+}
 
 std::string EncodeEnvelope(const net::Envelope& env) {
   std::string blob;
@@ -236,47 +359,35 @@ std::string EncodeEnvelope(const net::Envelope& env) {
 
 void EncodeEnvelopeTo(const net::Envelope& env, std::string* out) {
   // Kind byte, causal trace id (every envelope carries one), then the
-  // kind-specific fields (or, for the snapshot messages, the nested frame —
-  // they already have a standalone fuzz-hardened CRC codec; nest it rather
-  // than invent a second layout).
-  std::string& blob = *out;
-  std::string_view tag = env.Tag();
-  uint8_t kind = 0;
-  if (tag == "Request") kind = kKindRequest;
-  else if (tag == "VmTransfer") kind = kKindVmTransfer;
-  else if (tag == "VmAck") kind = kKindVmAck;
-  else if (tag == "VmClosure") kind = kKindVmClosure;
-  else if (tag == "CcNack") kind = kKindCcNack;
-  else if (tag == "SurplusNack") kind = kKindSurplusNack;
-  else if (tag == "SnapshotReq") kind = kKindSnapshotReq;
-  else if (tag == "SnapshotReply") kind = kKindSnapshotReply;
-  else return;  // unknown envelope type: nothing on the wire
-  blob.push_back(static_cast<char>(kind));
-  wal::PutVarint64(&blob, env.trace_id);
+  // kind-specific fields.
+  const uint8_t kind = KindOf(env);
+  if (kind == 0) return;  // unknown envelope type: nothing on the wire
+  out->push_back(static_cast<char>(kind));
+  wal::PutVarint64(out, env.trace_id);
   switch (kind) {
     case kKindRequest:
-      EncodeRequest(&blob, static_cast<const RequestMsg&>(env));
+      EncodeRequest(out, static_cast<const RequestMsg&>(env));
       break;
     case kKindVmTransfer:
-      EncodeVmTransfer(&blob, static_cast<const VmTransferMsg&>(env));
+      EncodeVmTransfer(out, static_cast<const VmTransferMsg&>(env));
       break;
     case kKindVmAck:
-      EncodeVmAck(&blob, static_cast<const VmAckMsg&>(env));
+      EncodeVmAck(out, static_cast<const VmAckMsg&>(env));
       break;
     case kKindVmClosure:
-      EncodeVmClosure(&blob, static_cast<const VmClosureMsg&>(env));
+      EncodeVmClosure(out, static_cast<const VmClosureMsg&>(env));
       break;
     case kKindCcNack:
-      EncodeCcNack(&blob, static_cast<const CcNackMsg&>(env));
+      EncodeCcNack(out, static_cast<const CcNackMsg&>(env));
       break;
     case kKindSurplusNack:
-      EncodeSurplusNack(&blob, static_cast<const SurplusNackMsg&>(env));
+      EncodeSurplusNack(out, static_cast<const SurplusNackMsg&>(env));
       break;
     case kKindSnapshotReq:
-      blob += EncodeSnapshotReq(static_cast<const SnapshotReqMsg&>(env));
+      EncodeSnapshotReq(out, static_cast<const SnapshotReqMsg&>(env));
       break;
     case kKindSnapshotReply:
-      blob += EncodeSnapshotReply(static_cast<const SnapshotReplyMsg&>(env));
+      EncodeSnapshotReply(out, static_cast<const SnapshotReplyMsg&>(env));
       break;
   }
 }
@@ -289,9 +400,6 @@ StatusOr<net::EnvelopePtr> DecodeEnvelope(std::string_view blob) {
   if (!dec.GetVarint64(&trace_id)) {
     return Status::Corruption("envelope: truncated trace id");
   }
-  // Bytes past the (kind, trace_id) prefix — the nested snapshot frames
-  // consume this view whole instead of going through `dec`.
-  std::string_view rest = blob.substr(blob.size() - dec.remaining());
   StatusOr<net::EnvelopePtr> result =
       Status::Corruption("envelope: unknown kind");
   switch (kind) {
@@ -313,28 +421,29 @@ StatusOr<net::EnvelopePtr> DecodeEnvelope(std::string_view blob) {
     case kKindSurplusNack:
       result = DecodeSurplusNack(dec);
       break;
-    case kKindSnapshotReq: {
-      StatusOr<SnapshotReqMsg> req = DecodeSnapshotReq(rest);
-      if (!req.ok()) return req.status();
-      auto env = net::MakeEnvelope<SnapshotReqMsg>(std::move(*req));
-      env->trace_id = trace_id;
-      return net::EnvelopePtr(std::move(env));
-    }
-    case kKindSnapshotReply: {
-      StatusOr<SnapshotReplyMsg> reply = DecodeSnapshotReply(rest);
-      if (!reply.ok()) return reply.status();
-      auto env = net::MakeEnvelope<SnapshotReplyMsg>(std::move(*reply));
-      env->trace_id = trace_id;
-      return net::EnvelopePtr(std::move(env));
-    }
-    default:
-      return result;
+    case kKindSnapshotReq:
+      result = DecodeSnapshotReq(dec);
+      break;
+    case kKindSnapshotReply:
+      result = DecodeSnapshotReply(dec);
+      break;
   }
   if (!result.ok()) return result;
   if (!dec.empty()) return Status::Corruption("envelope: trailing bytes");
   // Safe: the envelope was created mutable moments ago; sharing begins here.
   const_cast<net::Envelope*>(result->get())->trace_id = trace_id;
   return result;
+}
+
+bool AddressedWithin(const net::Packet& p, SiteId receiver,
+                     uint32_t num_sites) {
+  auto in_cluster = [num_sites](SiteId s) { return s.value() < num_sites; };
+  if (p.dst != receiver || !in_cluster(p.src)) return false;
+  if (p.payload && !in_cluster(NamedSite(*p.payload))) return false;
+  for (const net::SubMsg& sub : p.extra) {
+    if (sub.payload && !in_cluster(NamedSite(*sub.payload))) return false;
+  }
+  return true;
 }
 
 std::string EncodePacket(const net::Packet& p) {
@@ -384,8 +493,8 @@ StatusOr<net::Packet> DecodePacket(std::string_view frame) {
 
   wal::Decoder dec(body);
   net::Packet p;
-  uint64_t src = 0, dst = 0, rel = 0, seq = 0;
-  if (!dec.GetVarint64(&src) || !dec.GetVarint64(&dst)) {
+  uint64_t rel = 0, seq = 0;
+  if (!GetId(&dec, &p.src) || !GetId(&dec, &p.dst)) {
     return Status::Corruption("packet: truncated addressing");
   }
   if (!dec.GetVarint64(&rel) || rel > 1) {
@@ -406,19 +515,15 @@ StatusOr<net::Packet> DecodePacket(std::string_view frame) {
   if (num_hints > dec.remaining()) {
     return Status::Corruption("packet: hint count exceeds frame");
   }
-  p.src = SiteId(static_cast<uint32_t>(src));
-  p.dst = SiteId(static_cast<uint32_t>(dst));
   p.reliability = static_cast<net::Reliability>(rel);
   p.seq = MsgSeq(seq);
   p.hints.reserve(num_hints);
   for (uint64_t i = 0; i < num_hints; ++i) {
     net::PlacementHint h;
-    uint64_t item = 0;
-    if (!dec.GetVarint64(&item) || !dec.GetVarsint64(&h.surplus) ||
+    if (!GetId(&dec, &h.item) || !dec.GetVarsint64(&h.surplus) ||
         !dec.GetVarsint64(&h.demand) || !dec.GetVarint64(&h.stamp)) {
       return Status::Corruption("packet: truncated hint");
     }
-    h.item = ItemId(static_cast<uint32_t>(item));
     p.hints.push_back(h);
   }
   std::string_view payload_blob;

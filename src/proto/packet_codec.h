@@ -1,18 +1,19 @@
-// Byte codec for whole net::Packet frames — the real-runtime counterpart of
-// the simulator's modeled byte ledger. The sim network ships packets as
-// shared C++ objects and only *costs* them via EncodedSize/WireBytes; the
-// UDP conduit (runtime/real.h) must actually cross an address space, so every
-// envelope kind the protocol exchanges gets a real encoding here.
+// Byte codec for whole net::Packet frames, and the only encoding the
+// protocol's messages have. The UDP conduit (runtime/real.h) sends these
+// bytes; the simulator ships packets as shared C++ objects but prices each
+// proto envelope at the length of its blob here (proto::Message::EncodedSize),
+// so sim and real runtime agree on what an envelope costs.
 //
-// Frame layout mirrors the snapshot codec and wal::EncodeRecord: fixed32
-// CRC32C over the body, then the body — packet transport fields as varints
-// (zigzag for signed values), piggybacked hints, then the primary payload and
-// each coalesced rider as length-prefixed envelope blobs. An envelope blob is
-// a kind byte (one per proto message type; snapshot messages nest their
-// existing standalone frames) followed by the message fields. Decoding is
-// defensive end to end: arbitrary bytes — truncations, forged counts, bad
-// checksums, unknown kinds, trailing garbage — surface as Status::Corruption,
-// never undefined behaviour, because a real socket can hand us anything.
+// Frame layout mirrors wal::EncodeRecord: fixed32 CRC32C over the body, then
+// the body — packet transport fields as varints (zigzag for signed values),
+// piggybacked hints, then the primary payload and each coalesced rider as
+// length-prefixed envelope blobs. An envelope blob is a kind byte (one per
+// proto message type) and the causal trace id, followed by the message
+// fields. The frame's one CRC covers every envelope in it. Decoding is
+// defensive end to end: arbitrary bytes — truncations, forged counts, ids
+// wider than their type, bad checksums, unknown kinds, trailing garbage —
+// surface as Status::Corruption, never undefined behaviour, because a real
+// socket can hand us anything.
 #pragma once
 
 #include <string>
@@ -58,5 +59,14 @@ void EncodePacketWithDstTo(const net::Packet& packet, SiteId dst,
 /// Decodes a frame produced by EncodePacket. Rejects (kCorruption) bad
 /// checksums, truncations, unknown envelope kinds, and trailing garbage.
 StatusOr<net::Packet> DecodePacket(std::string_view frame);
+
+/// True when a decoded packet is addressed to `receiver` and every other
+/// site id it carries names one of the cluster's `num_sites` sites: its src,
+/// and the site each envelope names (a request's origin, a transfer's or
+/// closure's src, an ack's, NACK's or snapshot reply's from). A receiver
+/// must drop any other frame: it would owe the stranger an ack, or ship a Vm
+/// to it.
+bool AddressedWithin(const net::Packet& packet, SiteId receiver,
+                     uint32_t num_sites);
 
 }  // namespace dvp::proto

@@ -13,6 +13,10 @@
 //                    forced: the sender stops retransmitting and logs the
 //                    Vm's death. Datagram; duplicates of the transfer are
 //                    re-acked, so a lost ack only delays cleanup.
+//
+// The rest are courtesy datagrams (closure, CC and surplus NACKs) and the
+// snapshot-read pair. Every kind here has exactly one byte encoding, the
+// packet codec's (packet_codec.h), and that encoding is also its price.
 #pragma once
 
 #include <vector>
@@ -22,6 +26,13 @@
 #include "net/message.h"
 
 namespace dvp::proto {
+
+/// Base of every message kind the packet codec knows. Its WireSize() is the
+/// length of its EncodeEnvelopeTo blob, so the simulator charges exactly the
+/// envelope bytes the UDP runtime sends. Defined in packet_codec.cc.
+struct Message : public net::Envelope {
+  size_t EncodedSize() const override;
+};
 
 /// One item's worth of a request. `read_all` marks a traditional full read:
 /// the remote must ship its *entire* fragment and may only do so when it has
@@ -34,7 +45,7 @@ struct RequestPart {
 };
 
 /// Request for data values (§5 step 2).
-struct RequestMsg final : public net::Envelope {
+struct RequestMsg final : public Message {
   TxnId txn;               ///< requesting transaction
   uint64_t ts_packed = 0;  ///< TS(t), gating the grant under Conc1
   SiteId origin;           ///< site executing the transaction
@@ -49,19 +60,14 @@ struct RequestMsg final : public net::Envelope {
   /// several items under one timestamp. Advisory today (recipients count it
   /// for observability); carried on the wire so recipients could prioritise
   /// or co-grant. Encoded as a bit of the same flags byte as
-  /// want_surplus_nack — the frame layout and EncodedSize are unchanged.
+  /// want_surplus_nack, so it never changes the frame's size.
   bool atomic_set = false;
 
   std::string_view Tag() const override { return "Request"; }
-  size_t EncodedSize() const override {
-    // txn, ts, origin, round, flags (want_surplus_nack bit 0, atomic_set
-    // bit 1) + one (item, amount, flag) per part.
-    return net::kEnvelopeHeaderBytes + 8 + 8 + 4 + 4 + 1 + parts.size() * 13;
-  }
 };
 
 /// A real message belonging to a Vm.
-struct VmTransferMsg final : public net::Envelope {
+struct VmTransferMsg final : public Message {
   VmId vm;
   SiteId src;
   ItemId item;
@@ -98,23 +104,15 @@ struct VmTransferMsg final : public net::Envelope {
   uint64_t create_count = 0;
 
   std::string_view Tag() const override { return "VmTransfer"; }
-  size_t EncodedSize() const override {
-    // vm, src, item, amount, for_txn, ts, closed_below + read-reply block.
-    return net::kEnvelopeHeaderBytes + 8 + 4 + 4 + 8 + 8 + 8 + 8 +
-           (1 + 4 + 8 + 8);
-  }
 };
 
 /// Acknowledgement that `vm` was durably accepted.
-struct VmAckMsg final : public net::Envelope {
+struct VmAckMsg final : public Message {
   VmId vm;
   SiteId from;
   uint64_t ts_packed = 0;
 
   std::string_view Tag() const override { return "VmAck"; }
-  size_t EncodedSize() const override {
-    return net::kEnvelopeHeaderBytes + 8 + 4 + 8;  // vm, from, ts
-  }
 };
 
 /// Courtesy notification that the sender's channel to the recipient drained:
@@ -126,14 +124,11 @@ struct VmAckMsg final : public net::Envelope {
 /// final burst would linger until the channel's next use. Best-effort: if
 /// lost, the next transfer prunes instead; the entries are volatile either
 /// way.
-struct VmClosureMsg final : public net::Envelope {
+struct VmClosureMsg final : public Message {
   SiteId src;
   uint64_t closed_below = 0;
 
   std::string_view Tag() const override { return "VmClosure"; }
-  size_t EncodedSize() const override {
-    return net::kEnvelopeHeaderBytes + 4 + 8;  // src, closed_below
-  }
 };
 
 /// Courtesy refusal when the Conc1 timestamp rule blocks a request: carries
@@ -141,29 +136,23 @@ struct VmClosureMsg final : public net::Envelope {
 /// (§7's "bump-up" — without it, a site with a lagging clock could have its
 /// requests refused indefinitely). A retry of the transaction then carries a
 /// competitive timestamp. Purely an optimisation; losing it costs nothing.
-struct CcNackMsg final : public net::Envelope {
+struct CcNackMsg final : public Message {
   SiteId from;
   uint64_t ts_packed = 0;
 
   std::string_view Tag() const override { return "CcNack"; }
-  size_t EncodedSize() const override {
-    return net::kEnvelopeHeaderBytes + 4 + 8;  // from, ts
-  }
 };
 
 /// Courtesy "nothing to ship" reply to a surplus-directed shortfall request
 /// (RequestMsg::want_surplus_nack): the origin zeroes its cached surplus for
 /// (from, item) instead of waiting for the hint to age out. Datagram, purely
 /// advisory — losing it costs at most one more misdirected request.
-struct SurplusNackMsg final : public net::Envelope {
+struct SurplusNackMsg final : public Message {
   SiteId from;
   ItemId item;
   uint64_t ts_packed = 0;
 
   std::string_view Tag() const override { return "SurplusNack"; }
-  size_t EncodedSize() const override {
-    return net::kEnvelopeHeaderBytes + 4 + 4 + 8;  // from, item, ts
-  }
 };
 
 /// One item's stamped entry in a snapshot reply: the replying site's resident
@@ -194,7 +183,7 @@ struct SnapshotEntry {
 /// full-read RequestMsg it moves no value, takes no remote lock, and the
 /// remote's concurrent writes proceed untouched. Datagram: a lost request is
 /// re-sent by the reader's bounded-backoff retry rounds.
-struct SnapshotReqMsg final : public net::Envelope {
+struct SnapshotReqMsg final : public Message {
   TxnId txn;               ///< reading transaction (reply routing key)
   uint64_t ts_packed = 0;  ///< TS(t); bumps the remote clock
   SiteId origin;           ///< site executing the read
@@ -202,10 +191,6 @@ struct SnapshotReqMsg final : public net::Envelope {
   std::vector<ItemId> items;
 
   std::string_view Tag() const override { return "SnapshotReq"; }
-  size_t EncodedSize() const override {
-    // txn, ts, origin, round + one item id per requested item.
-    return net::kEnvelopeHeaderBytes + 8 + 8 + 4 + 4 + items.size() * 4;
-  }
 
   friend bool operator==(const SnapshotReqMsg& a, const SnapshotReqMsg& b) {
     return a.txn == b.txn && a.ts_packed == b.ts_packed &&
@@ -219,7 +204,7 @@ struct SnapshotReqMsg final : public net::Envelope {
 /// it through GroupCommitLog::OnNextForce), so every commit the captured
 /// fragments reflect is durable — a crash before the force silently drops
 /// the reply instead of leaking a cut containing rolled-back commits.
-struct SnapshotReplyMsg final : public net::Envelope {
+struct SnapshotReplyMsg final : public Message {
   TxnId txn;                ///< echoes the request
   SiteId from;              ///< replying site
   uint32_t round = 0;       ///< round the capture answers
@@ -227,11 +212,6 @@ struct SnapshotReplyMsg final : public net::Envelope {
   std::vector<SnapshotEntry> entries;
 
   std::string_view Tag() const override { return "SnapshotReply"; }
-  size_t EncodedSize() const override {
-    // txn, from, round, ts + (item, fragment, frag_ts, created count/value,
-    // accepted count/value, closed_below) per entry.
-    return net::kEnvelopeHeaderBytes + 8 + 4 + 4 + 8 + entries.size() * 60;
-  }
 
   friend bool operator==(const SnapshotReplyMsg& a, const SnapshotReplyMsg& b) {
     return a.txn == b.txn && a.from == b.from && a.round == b.round &&

@@ -361,7 +361,11 @@ void UdpConduit::FlushSends(uint32_t site) {
 }
 
 void UdpConduit::Send(net::Packet packet) {
-  assert(packet.dst.value() < fds_.size());
+  // Every build checks: dst indexes the per-site ports and state below.
+  if (packet.dst.value() >= num_sites()) {
+    send_errors_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   if (DropInjected()) return;
   uint32_t src = packet.src.value();
   uint32_t dst = packet.dst.value();
@@ -466,7 +470,10 @@ void UdpConduit::HandleFrame(uint32_t site, const char* data, size_t len) {
   datagrams_received_.fetch_add(1, std::memory_order_relaxed);
   StatusOr<net::Packet> packet =
       proto::DecodePacket(std::string_view(data, len));
-  if (!packet.ok()) {
+  // Any socket can send a CRC-valid frame; one naming a site outside the
+  // cluster must not reach the transport, which would ack it or ship a Vm.
+  if (!packet.ok() ||
+      !proto::AddressedWithin(*packet, SiteId(site), num_sites())) {
     decode_errors_.fetch_add(1, std::memory_order_relaxed);
     return;
   }

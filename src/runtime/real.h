@@ -144,8 +144,9 @@ class EventLoop final : public Runtime {
 /// site, packets framed by proto::EncodePacket/DecodePacket. A site's
 /// datagrams are received and decoded on that site's own loop thread, so
 /// delivery lands in the protocol exactly where a kernel delivery event
-/// would. Loss is real (and injectable); a frame that fails to decode is
-/// dropped silently — precisely the paper's lossy-channel model.
+/// would. Loss is real (and injectable); a frame that fails to decode, or
+/// names a site outside the cluster, is dropped silently — precisely the
+/// paper's lossy-channel model.
 class UdpConduit final : public net::Conduit {
  public:
   struct Options {
@@ -172,11 +173,13 @@ class UdpConduit final : public net::Conduit {
   struct Stats {
     uint64_t datagrams_sent = 0;
     uint64_t datagrams_dropped_injected = 0;
-    uint64_t send_errors = 0;       ///< hard send failures (silent loss)
+    uint64_t send_errors = 0;       ///< hard send failures, and sends to
+                                    ///< no cluster site (silent loss)
     uint64_t send_soft_errors = 0;  ///< EAGAIN/ENOBUFS backpressure drops
     uint64_t oversize_frames = 0;   ///< frames > kMaxDatagram, never sent
     uint64_t datagrams_received = 0;
-    uint64_t decode_errors = 0;  ///< frames rejected by the codec
+    uint64_t decode_errors = 0;  ///< frames rejected by the codec, or
+                                 ///< naming a site outside the cluster
     uint64_t dropped_down = 0;   ///< destination's is_up() said no
     uint64_t send_syscalls = 0;  ///< sendto + sendmmsg calls
     uint64_t recv_syscalls = 0;  ///< recv + recvmmsg calls

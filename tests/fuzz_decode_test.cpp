@@ -5,7 +5,7 @@
 
 #include "common/rng.h"
 #include "proto/packet_codec.h"
-#include "proto/snapshot_codec.h"
+#include "proto/wire.h"
 #include "wal/record.h"
 
 namespace dvp::wal {
@@ -220,11 +220,11 @@ TEST(AtomicTrailerTest, TruncationsOfAtomicRecordAreRejected) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// ---- Snapshot message codec: same adversarial treatment -----------------------
+// ---- Snapshot messages in the packet codec: same adversarial treatment -------
 //
-// The snapshot request/reply are the first envelopes with a real byte
-// encoding (CRC-framed, varint-packed). Arbitrary bytes, truncations and
-// checksum-valid doctored frames must all surface as kCorruption.
+// The snapshot request/reply are ordinary envelope kinds of the packet codec
+// (kind bytes 7 and 8). Arbitrary bytes, truncations and checksum-valid
+// doctored frames must all surface as kCorruption.
 
 proto::SnapshotReqMsg RandomReq(Rng& rng) {
   proto::SnapshotReqMsg req;
@@ -261,17 +261,39 @@ proto::SnapshotReplyMsg RandomReply(Rng& rng) {
   return reply;
 }
 
+constexpr char kKindSnapshotReq = 7;
+constexpr char kKindSnapshotReply = 8;
+
+/// A whole packet frame (valid CRC) whose only payload is `blob`, spelled
+/// out field by field so a test can plant a doctored envelope in it.
+std::string FrameAround(const std::string& blob) {
+  std::string body;
+  PutVarint64(&body, 0);  // src
+  PutVarint64(&body, 1);  // dst
+  body.push_back(0);      // reliability: datagram
+  PutVarint64(&body, 0);  // epoch
+  PutVarint64(&body, 0);  // seq
+  PutVarint64(&body, 0);  // seq_base
+  PutVarint64(&body, 0);  // has_ack
+  PutVarint64(&body, 0);  // trace id
+  PutVarint64(&body, 0);  // hint count
+  PutLengthPrefixed(&body, blob);
+  PutVarint64(&body, 0);  // rider count
+  return WithFreshCrc(body);
+}
+
 class SnapshotCodecFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SnapshotCodecFuzzTest, RandomBytesNeverCrashEitherDecoder) {
   Rng rng(GetParam() + 808);
   for (int trial = 0; trial < 2'000; ++trial) {
     std::string bytes = RandomBytes(rng, rng.NextBounded(64));
-    auto req = proto::DecodeSnapshotReq(bytes);
-    if (!req.ok()) EXPECT_EQ(req.status().code(), StatusCode::kCorruption);
-    auto reply = proto::DecodeSnapshotReply(bytes);
-    if (!reply.ok()) {
-      EXPECT_EQ(reply.status().code(), StatusCode::kCorruption);
+    // Random bodies behind each snapshot kind byte reach its decoder.
+    for (char kind : {kKindSnapshotReq, kKindSnapshotReply}) {
+      auto decoded = proto::DecodeEnvelope(std::string(1, kind) + bytes);
+      if (!decoded.ok()) {
+        EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+      }
     }
   }
 }
@@ -280,71 +302,98 @@ TEST_P(SnapshotCodecFuzzTest, RandomMessagesRoundTrip) {
   Rng rng(GetParam() + 909);
   for (int trial = 0; trial < 500; ++trial) {
     proto::SnapshotReqMsg req = RandomReq(rng);
-    auto dreq = proto::DecodeSnapshotReq(proto::EncodeSnapshotReq(req));
+    req.trace_id = rng.NextU64() >> 1;
+    auto dreq = proto::DecodeEnvelope(proto::EncodeEnvelope(req));
     ASSERT_TRUE(dreq.ok()) << dreq.status().ToString();
-    EXPECT_EQ(dreq.value(), req);
+    ASSERT_EQ((*dreq)->Tag(), "SnapshotReq");
+    EXPECT_EQ(static_cast<const proto::SnapshotReqMsg&>(**dreq), req);
+    EXPECT_EQ((*dreq)->trace_id, req.trace_id);
     proto::SnapshotReplyMsg reply = RandomReply(rng);
-    auto drep = proto::DecodeSnapshotReply(proto::EncodeSnapshotReply(reply));
+    reply.trace_id = rng.NextU64() >> 1;
+    auto drep = proto::DecodeEnvelope(proto::EncodeEnvelope(reply));
     ASSERT_TRUE(drep.ok()) << drep.status().ToString();
-    EXPECT_EQ(drep.value(), reply);
+    ASSERT_EQ((*drep)->Tag(), "SnapshotReply");
+    EXPECT_EQ(static_cast<const proto::SnapshotReplyMsg&>(**drep), reply);
+    EXPECT_EQ((*drep)->trace_id, reply.trace_id);
   }
 }
 
 TEST_P(SnapshotCodecFuzzTest, TruncationsOfValidFramesAreRejected) {
   Rng rng(GetParam() + 1'010);
-  std::string req = proto::EncodeSnapshotReq(RandomReq(rng));
+  std::string req = proto::EncodeEnvelope(RandomReq(rng));
   for (size_t cut = 0; cut < req.size(); ++cut) {
-    EXPECT_FALSE(proto::DecodeSnapshotReq(req.substr(0, cut)).ok())
+    EXPECT_FALSE(proto::DecodeEnvelope(req.substr(0, cut)).ok())
         << "accepted a request truncated to " << cut;
+    // (An empty blob is a frame with no payload, a valid pure ack.)
+    EXPECT_TRUE(cut == 0 ||
+                !proto::DecodePacket(FrameAround(req.substr(0, cut))).ok())
+        << "accepted a frame around a request truncated to " << cut;
   }
-  std::string reply = proto::EncodeSnapshotReply(RandomReply(rng));
+  std::string reply = proto::EncodeEnvelope(RandomReply(rng));
   for (size_t cut = 0; cut < reply.size(); ++cut) {
-    EXPECT_FALSE(proto::DecodeSnapshotReply(reply.substr(0, cut)).ok())
+    EXPECT_FALSE(proto::DecodeEnvelope(reply.substr(0, cut)).ok())
         << "accepted a reply truncated to " << cut;
+    // (An empty blob is a frame with no payload, a valid pure ack.)
+    EXPECT_TRUE(cut == 0 ||
+                !proto::DecodePacket(FrameAround(reply.substr(0, cut))).ok())
+        << "accepted a frame around a reply truncated to " << cut;
   }
 }
 
 TEST(SnapshotCodecTest, KindBytesAreNotInterchangeable) {
+  // The kind byte alone tells the two apart, so a request's body behind the
+  // reply kind (and the reverse) must fail to decode: a request's items are
+  // too few varints for reply entries, and a reply's entries leave trailing
+  // bytes or over-wide ids behind a request header.
   Rng rng(7);
-  std::string req = proto::EncodeSnapshotReq(RandomReq(rng));
-  auto as_reply = proto::DecodeSnapshotReply(req);
-  ASSERT_FALSE(as_reply.ok());
-  EXPECT_NE(as_reply.status().ToString().find("not a reply"),
-            std::string::npos);
-  std::string reply = proto::EncodeSnapshotReply(RandomReply(rng));
-  auto as_req = proto::DecodeSnapshotReq(reply);
-  ASSERT_FALSE(as_req.ok());
-  EXPECT_NE(as_req.status().ToString().find("not a request"),
-            std::string::npos);
+  proto::SnapshotReqMsg req_msg = RandomReq(rng);
+  req_msg.items.push_back(ItemId(5));
+  std::string req = proto::EncodeEnvelope(req_msg);
+  ASSERT_EQ(req[0], kKindSnapshotReq);
+  req[0] = kKindSnapshotReply;
+  EXPECT_FALSE(proto::DecodeEnvelope(req).ok());
+  EXPECT_FALSE(proto::DecodePacket(FrameAround(req)).ok());
+
+  proto::SnapshotReplyMsg reply_msg = RandomReply(rng);
+  reply_msg.entries.push_back(proto::SnapshotEntry{ItemId(5), 10, 1, 0, 0,
+                                                   0, 0, 0});
+  std::string reply = proto::EncodeEnvelope(reply_msg);
+  ASSERT_EQ(reply[0], kKindSnapshotReply);
+  reply[0] = kKindSnapshotReq;
+  EXPECT_FALSE(proto::DecodeEnvelope(reply).ok());
+  EXPECT_FALSE(proto::DecodePacket(FrameAround(reply)).ok());
 }
 
 TEST(SnapshotCodecTest, TrailingJunkWithValidCrcIsRejected) {
-  // Re-stamp a valid checksum over a body with junk appended: rejection has
-  // to come from content validation, not the CRC.
+  // The frame's checksum is valid over the junk: rejection has to come from
+  // content validation, not the CRC.
   Rng rng(11);
-  std::string framed = proto::EncodeSnapshotReq(RandomReq(rng));
-  std::string body(framed.substr(4));
-  body.push_back('\x07');
-  auto decoded = proto::DecodeSnapshotReq(WithFreshCrc(body));
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().ToString().find("trailing bytes"),
-            std::string::npos);
+  for (std::string blob :
+       {proto::EncodeEnvelope(RandomReq(rng)), proto::EncodeEnvelope(RandomReply(rng))}) {
+    blob.push_back('\x07');
+    auto decoded = proto::DecodePacket(FrameAround(blob));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_NE(decoded.status().ToString().find("trailing bytes"),
+              std::string::npos);
+  }
 }
 
 TEST(SnapshotCodecTest, ForgedHugeCountIsRejectedWithoutAllocating) {
-  // A count field claiming more entries than the frame has bytes must be
-  // rejected up front (never trusted for a reserve()).
-  std::string body;
-  body.push_back(2);  // kind: reply
-  PutVarint64(&body, 9);
-  PutVarint64(&body, 1);
-  PutVarint64(&body, 1);
-  PutVarint64(&body, 40);
-  PutVarint64(&body, uint64_t{1} << 50);  // entry count
-  auto decoded = proto::DecodeSnapshotReply(WithFreshCrc(body));
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().ToString().find("count exceeds frame"),
-            std::string::npos);
+  // A count field claiming more entries (or items) than the frame has bytes
+  // must be rejected up front (never trusted for an allocation).
+  for (char kind : {kKindSnapshotReq, kKindSnapshotReply}) {
+    std::string blob(1, kind);
+    PutVarint64(&blob, 0);   // trace id
+    PutVarint64(&blob, 9);   // txn
+    PutVarint64(&blob, 1);   // req: ts / reply: from
+    PutVarint64(&blob, 1);   // req: origin / reply: round
+    PutVarint64(&blob, 40);  // req: round / reply: ts
+    PutVarint64(&blob, uint64_t{1} << 50);  // item / entry count
+    auto decoded = proto::DecodePacket(FrameAround(blob));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_NE(decoded.status().ToString().find("count exceeds frame"),
+              std::string::npos);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotCodecFuzzTest,
@@ -487,7 +536,7 @@ TEST_P(PacketCodecFuzzTest, RandomPacketsRoundTrip) {
     }
     EXPECT_EQ(rt->payload != nullptr, p.payload != nullptr);
     if (p.payload) {
-      // Envelope identity via the modeled wire: same tag, same size.
+      // Envelope identity via the wire: same tag, same codec length.
       EXPECT_EQ(rt->payload->Tag(), p.payload->Tag());
       EXPECT_EQ(rt->payload->EncodedSize(), p.payload->EncodedSize());
       EXPECT_EQ(rt->payload->trace_id, p.payload->trace_id);
@@ -626,6 +675,26 @@ TEST(PacketCodecAppendTest, AllEnvelopeKindsEncodeIdenticallyViaAppendApis) {
       EXPECT_EQ(rt->payload->Tag(), p.payload->Tag());
     }
   }
+}
+
+// A 32-bit id that arrives wider than 32 bits is corruption, never narrowed
+// onto another id (a site id of 2^32 would otherwise decode as site 0).
+TEST(PacketCodecIdTest, IdsWiderThanTheirTypeAreRejected) {
+  auto ack_from = [](uint64_t from) {
+    std::string blob(1, '\x03');  // kind: VmAck
+    PutVarint64(&blob, 0);         // trace id
+    PutVarint64(&blob, 55);        // vm
+    PutVarint64(&blob, from);
+    PutVarint64(&blob, 9);  // ts
+    return blob;
+  };
+  auto widest = proto::DecodeEnvelope(ack_from(uint64_t{0xffffffff}));
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(static_cast<const proto::VmAckMsg&>(**widest).from,
+            SiteId(0xffffffff));
+  EXPECT_FALSE(proto::DecodeEnvelope(ack_from(uint64_t{1} << 32)).ok());
+  EXPECT_FALSE(proto::DecodePacket(FrameAround(ack_from(uint64_t{1} << 32)))
+                   .ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PacketCodecFuzzTest,

@@ -2,6 +2,7 @@
 // routing semantics, broadcast ordering, transport retransmission.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "net/backoff.h"
@@ -257,61 +258,186 @@ TEST(WireBytesTest, SumsHeaderAckHintsPayloadAndRiders) {
                               kEnvelopeHeaderBytes);
 }
 
+// A proto envelope's price is its packet-codec encoding, byte for byte, so
+// the sim charges exactly the envelope bytes the UDP runtime sends. Every
+// kind, every RequestMsg flag combination, and 0, 1 and many parts, items
+// and entries; field values are large enough to need multi-byte varints.
+TEST(WireBytesTest, ProtoEnvelopePriceIsItsCodecLength) {
+  std::vector<std::shared_ptr<proto::Message>> msgs;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{40}}) {
+    for (bool surplus : {false, true}) {
+      for (bool atomic : {false, true}) {
+        auto m = std::make_shared<proto::RequestMsg>();
+        m->txn = TxnId(uint64_t{1} << 40);
+        m->ts_packed = 99'999'999;
+        m->origin = SiteId(3);
+        m->round = 300;
+        m->want_surplus_nack = surplus;
+        m->atomic_set = atomic;
+        for (size_t i = 0; i < n; ++i) {
+          m->parts.push_back(proto::RequestPart{
+              ItemId(static_cast<uint32_t>(i * 40'961)),
+              -static_cast<int64_t>(i) * 1'000, i % 2 == 0});
+        }
+        msgs.push_back(std::move(m));
+      }
+    }
+    auto req = std::make_shared<proto::SnapshotReqMsg>();
+    req->txn = TxnId(7);
+    req->ts_packed = uint64_t{1} << 50;
+    req->origin = SiteId(1);
+    req->round = 2;
+    for (size_t i = 0; i < n; ++i) {
+      req->items.push_back(ItemId(static_cast<uint32_t>(i * 70'001)));
+    }
+    msgs.push_back(std::move(req));
+    auto reply = std::make_shared<proto::SnapshotReplyMsg>();
+    reply->txn = TxnId(7);
+    reply->from = SiteId(4);
+    reply->round = 2;
+    reply->ts_packed = uint64_t{1} << 50;
+    for (size_t i = 0; i < n; ++i) {
+      reply->entries.push_back(proto::SnapshotEntry{
+          ItemId(static_cast<uint32_t>(i * 70'001)),
+          -static_cast<int64_t>(i) * 77'777, uint64_t{1} << 45, i * 1'000,
+          static_cast<int64_t>(i) * 300, i, -static_cast<int64_t>(i), i * 9});
+    }
+    msgs.push_back(std::move(reply));
+  }
+  for (bool read_reply : {false, true}) {
+    auto m = std::make_shared<proto::VmTransferMsg>();
+    m->vm = VmId(uint64_t{1} << 33);
+    m->src = SiteId(2);
+    m->item = ItemId(123'456);
+    m->amount = -4'000'000;
+    m->for_txn = TxnId(uint64_t{1} << 40);
+    m->ts_packed = uint64_t{1} << 50;
+    m->closed_below = 1'000'000;
+    m->is_read_reply = read_reply;
+    m->round = 17;
+    m->accept_count = 1 << 20;
+    m->create_count = 1 << 21;
+    msgs.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<proto::VmAckMsg>();
+    m->vm = VmId(uint64_t{1} << 33);
+    m->from = SiteId(1);
+    m->ts_packed = uint64_t{1} << 50;
+    msgs.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<proto::VmClosureMsg>();
+    m->src = SiteId(0);
+    m->closed_below = 1'000'000;
+    msgs.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<proto::CcNackMsg>();
+    m->from = SiteId(2);
+    m->ts_packed = uint64_t{1} << 50;
+    msgs.push_back(std::move(m));
+  }
+  {
+    auto m = std::make_shared<proto::SurplusNackMsg>();
+    m->from = SiteId(2);
+    m->item = ItemId(123'456);
+    m->ts_packed = uint64_t{1} << 50;
+    msgs.push_back(std::move(m));
+  }
+  std::set<std::string_view> kinds;
+  for (const auto& m : msgs) {
+    m->trace_id = uint64_t{1} << 42;
+    const std::string blob = proto::EncodeEnvelope(*m);
+    ASSERT_FALSE(blob.empty()) << m->Tag();
+    EXPECT_EQ(m->WireSize(), blob.size()) << m->Tag();
+    // A decoded copy, as the receiving site holds it, costs the same.
+    auto decoded = proto::DecodeEnvelope(blob);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ((*decoded)->WireSize(), blob.size()) << m->Tag();
+    kinds.insert(m->Tag());
+  }
+  EXPECT_EQ(kinds.size(), 8u);  // every kind the codec knows
+}
+
 // The multi-op flag rides bit 1 of the SAME flags byte as want_surplus_nack
-// (bit 0). The frame layout — and therefore every modeled byte the ledger
-// charges — must be identical no matter which flag combination is set: a
-// request's cost is header + 25 fixed + 13 per part, nothing else.
+// (bit 0). Whatever flag combination is set, a request encodes to the same
+// length, and its blob differs from the no-flag blob in that one byte only.
 TEST(WireBytesTest, RequestFlagsShareOneByteAndNeverChangeTheSize) {
-  const size_t fixed = kEnvelopeHeaderBytes + 8 + 8 + 4 + 4 + 1;
-  for (bool surplus : {false, true}) {
-    for (bool atomic : {false, true}) {
-      for (size_t parts : {size_t{0}, size_t{1}, size_t{2}, size_t{5}}) {
+  for (size_t parts : {size_t{0}, size_t{1}, size_t{2}, size_t{5}}) {
+    std::string plain;
+    for (bool surplus : {false, true}) {
+      for (bool atomic : {false, true}) {
         proto::RequestMsg msg;
         msg.txn = TxnId(7);
         msg.ts_packed = 99;
         msg.origin = SiteId(0);
         msg.want_surplus_nack = surplus;
         msg.atomic_set = atomic;
-        msg.parts.resize(parts);
-        EXPECT_EQ(msg.EncodedSize(), fixed + parts * 13)
+        for (size_t i = 0; i < parts; ++i) {
+          msg.parts.push_back(proto::RequestPart{
+              ItemId(static_cast<uint32_t>(i)), 5, false});
+        }
+        const std::string blob = proto::EncodeEnvelope(msg);
+        EXPECT_EQ(msg.EncodedSize(), blob.size());
+        if (!surplus && !atomic) {
+          plain = blob;
+          continue;
+        }
+        ASSERT_EQ(blob.size(), plain.size())
             << "surplus=" << surplus << " atomic=" << atomic
             << " parts=" << parts;
+        size_t differing = 0;
+        for (size_t i = 0; i < blob.size(); ++i) {
+          if (blob[i] != plain[i]) ++differing;
+        }
+        EXPECT_EQ(differing, 1u) << "surplus=" << surplus
+                                 << " atomic=" << atomic
+                                 << " parts=" << parts;
       }
     }
   }
 }
 
-// A legacy single-item frame (no flags) costs today exactly what it cost
-// before the atomic-set bit existed — byte-ledger regressions in E12/E13
-// would otherwise masquerade as protocol traffic changes.
+// A legacy single-item frame (no flags, small ids) has a pinned price: kind,
+// trace id, txn, ts, origin, round, flags, part count, then item, amount and
+// read_all, one byte each. Byte-ledger regressions in E12/E13 would
+// otherwise masquerade as protocol traffic changes.
 TEST(WireBytesTest, LegacyRequestFrameCostIsPinned) {
   proto::RequestMsg msg;
   msg.txn = TxnId(1);
-  msg.parts.resize(1);
-  EXPECT_EQ(msg.EncodedSize(), kEnvelopeHeaderBytes + 25 + 13);
+  msg.origin = SiteId(0);
+  msg.parts.push_back(proto::RequestPart{ItemId(0), 0, false});
+  EXPECT_EQ(msg.EncodedSize(), 11u);
 
   Packet p;
   p.src = SiteId(0);
   p.dst = SiteId(1);
   p.payload = std::make_shared<proto::RequestMsg>(msg);
-  EXPECT_EQ(WireBytes(p), kPacketHeaderBytes + kEnvelopeHeaderBytes + 38);
+  EXPECT_EQ(WireBytes(p), kPacketHeaderBytes + 11);
 }
 
-// The snapshot-read messages' modeled wire cost is pinned the same way: a
-// request is header + 24 fixed + 4 per item, a reply header + 24 fixed + 60
-// per stamped entry. E5b's byte ledger is built on these figures.
+// The snapshot-read messages' prices are pinned the same way: a request is
+// 7 bytes plus one per small item id, a reply 7 bytes plus 8 per entry of
+// small fields. E5b's byte ledger is built on these figures.
 TEST(WireBytesTest, SnapshotFrameCostsArePinned) {
   proto::SnapshotReqMsg req;
   req.txn = TxnId(7);
-  EXPECT_EQ(req.EncodedSize(), kEnvelopeHeaderBytes + 24);
-  req.items.resize(3);
-  EXPECT_EQ(req.EncodedSize(), kEnvelopeHeaderBytes + 24 + 3 * 4);
+  req.origin = SiteId(0);
+  EXPECT_EQ(req.EncodedSize(), 7u);
+  for (uint32_t i = 0; i < 3; ++i) req.items.push_back(ItemId(i));
+  EXPECT_EQ(req.EncodedSize(), 7u + 3 * 1);
 
   proto::SnapshotReplyMsg reply;
   reply.txn = TxnId(7);
-  EXPECT_EQ(reply.EncodedSize(), kEnvelopeHeaderBytes + 24);
-  reply.entries.resize(2);
-  EXPECT_EQ(reply.EncodedSize(), kEnvelopeHeaderBytes + 24 + 2 * 60);
+  reply.from = SiteId(0);
+  EXPECT_EQ(reply.EncodedSize(), 7u);
+  for (uint32_t i = 0; i < 2; ++i) {
+    proto::SnapshotEntry e;
+    e.item = ItemId(i);
+    reply.entries.push_back(e);
+  }
+  EXPECT_EQ(reply.EncodedSize(), 7u + 2 * 8);
 }
 
 // The shared backoff arithmetic is pinned: the transport's retransmission

@@ -8,7 +8,11 @@
 // threads, actual loopback UDP, actual loss — and check that the transport's
 // retransmission/dedup machinery delivers reliable payloads exactly once
 // across an injected-drop conduit.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -25,6 +29,7 @@
 #include "runtime/real.h"
 #include "runtime/runtime.h"
 #include "sim/kernel.h"
+#include "wal/encoding.h"
 #include "wal/record.h"
 #include "wal/stable_storage.h"
 
@@ -311,6 +316,97 @@ INSTANTIATE_TEST_SUITE_P(IoModes, RealTransportIoModeTest, ::testing::Bool(),
                            return info.param ? std::string("FastPath")
                                              : std::string("SingleShot");
                          });
+
+// Any local socket can send the conduit a CRC-valid frame. One that names a
+// site outside the cluster, or is addressed to another site, must be
+// dropped and counted before it reaches the transport: delivered, it would
+// owe the stranger an ack, or ship a Vm to a forged request's origin (and
+// UdpConduit::Send indexes its per-site state by that id).
+TEST(UdpConduitTest, DropsFramesNamingSitesOutsideTheCluster) {
+  runtime::Real real(2);
+  std::mutex mu;
+  std::vector<net::Packet> delivered;
+  real.conduit().RegisterEndpoint(
+      SiteId(0),
+      [&](const net::Packet& p) {
+        std::lock_guard<std::mutex> lock(mu);
+        delivered.push_back(p);
+      },
+      [] { return true; });
+  real.conduit().RegisterEndpoint(
+      SiteId(1), [](const net::Packet&) {}, [] { return true; });
+  real.Start();
+
+  auto request_from = [](uint32_t src, uint32_t dst, uint32_t origin) {
+    net::Packet p;
+    p.src = SiteId(src);
+    p.dst = SiteId(dst);
+    auto req = net::MakeEnvelope<proto::RequestMsg>();
+    req->txn = TxnId(5);
+    req->origin = SiteId(origin);
+    req->parts.push_back(proto::RequestPart{ItemId(0), 3, false});
+    p.payload = std::move(req);
+    return proto::EncodePacket(p);
+  };
+  // src = 2^32: the frame of a valid src-0 packet with its one-byte src
+  // varint replaced and the checksum recomputed. Narrowed, it would be 0.
+  std::string wide_body = request_from(0, 0, 0).substr(5);
+  std::string wide_src;
+  wal::PutVarint64(&wide_src, uint64_t{1} << 32);
+  wide_body = wide_src + wide_body;
+  std::string wide;
+  wal::PutFixed32(&wide, wal::Crc32c(wide_body));
+  wide += wide_body;
+
+  const std::vector<std::string> forged = {
+      request_from(7, 0, 7),  // src is no site of the cluster
+      request_from(1, 1, 1),  // addressed to site 1, arrived at site 0
+      request_from(1, 0, 9),  // a Vm for the request would go to site 9
+      wide,
+  };
+  const std::string genuine = request_from(1, 0, 1);
+
+  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  to.sin_port = htons(real.conduit().port(SiteId(0)));
+  for (const std::string* frame : {&forged[0], &forged[1], &forged[2],
+                                   &forged[3], &genuine}) {
+    ASSERT_EQ(::sendto(fd, frame->data(), frame->size(), 0,
+                       reinterpret_cast<sockaddr*>(&to), sizeof to),
+              static_cast<ssize_t>(frame->size()));
+  }
+  ::close(fd);
+
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (real.conduit().stats().datagrams_received < forged.size() + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  real.Stop();
+
+  EXPECT_EQ(real.conduit().stats().datagrams_received, forged.size() + 1);
+  EXPECT_EQ(real.conduit().stats().decode_errors, forged.size());
+  ASSERT_EQ(delivered.size(), 1u);  // only the genuine frame
+  EXPECT_EQ(delivered[0].src, SiteId(1));
+}
+
+// A send to a site id outside the cluster is lost and counted in every
+// build, never used as an index into the per-site ports.
+TEST(UdpConduitTest, SendToNoClusterSiteIsCountedAsASendError) {
+  runtime::Real real(2);
+  net::Packet p;
+  p.src = SiteId(0);
+  p.dst = SiteId(9);
+  auto ack = net::MakeEnvelope<proto::VmAckMsg>();
+  ack->from = SiteId(0);
+  p.payload = std::move(ack);
+  real.conduit().Send(std::move(p));
+  EXPECT_EQ(real.conduit().stats().send_errors, 1u);
+  EXPECT_EQ(real.conduit().stats().datagrams_sent, 0u);
+}
 
 // The packet byte codec round-trips the wire shapes the conduit ships. (The
 // fuzz suite hammers the decoder; this pins the happy path end to end.)
