@@ -77,6 +77,9 @@ struct PrimaryCopyCluster::SiteState {
               op.item, it->second - op.amount, -op.amount, 0});
           break;
         case txn::TxnOp::Kind::kReadFull:
+        case txn::TxnOp::Kind::kReadSnapshot:
+          // The primary holds the sole copy, so its value is already a
+          // consistent cut: a snapshot read is served as a whole-value read.
           reply->read_values[op.item] = it->second;
           break;
       }

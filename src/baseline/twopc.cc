@@ -403,6 +403,9 @@ void TwoPcCluster::SiteState::TryPrepare(TxnId txn) {
                                               -op.amount, r.version + 1});
         break;
       case txn::TxnOp::Kind::kReadFull:
+      case txn::TxnOp::Kind::kReadSnapshot:
+        // The quorum's latest version is already a consistent cut: a
+        // snapshot read is served as a whole-value read.
         c.read_values[op.item] = r.value;
         break;
     }

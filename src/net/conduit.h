@@ -43,18 +43,12 @@ class Conduit {
 
   /// Broadcast helper used by Conc2: delivers copies of the payload to every
   /// other site. Only the sim network gives it the loss-free, identical
-  /// timing of an atomic ordered broadcast (§6.2); the real backend degrades
-  /// it to a best-effort datagram fan-out, so Conc2 soundness does NOT carry
-  /// over (DESIGN § runtime seam).
+  /// timing of an atomic ordered broadcast (§6.2); the real backend's is a
+  /// best-effort datagram fan-out, which is why system::RealCluster refuses
+  /// Conc2 at construction (DESIGN § runtime seam).
   virtual void Broadcast(SiteId src, EnvelopePtr payload) = 0;
 
   virtual uint32_t num_sites() const = 0;
-
-  /// True when this conduit actually serializes packets and wants the
-  /// transport to attach a FrameCache to reliable sends so retransmissions
-  /// can replay the first encoding. The sim network ships shared objects and
-  /// keeps the default (no cache, no per-send bookkeeping).
-  virtual bool WantsFrameCache() const { return false; }
 };
 
 }  // namespace dvp::net

@@ -26,10 +26,8 @@ Transport::Transport(runtime::Runtime* rt, Conduit* conduit, SiteId self,
       m_window_drop_(obs::CounterIn(metrics, "transport.window_drop")),
       m_retransmit_(obs::CounterIn(metrics, "transport.retransmit")),
       m_coalesced_frames_(obs::CounterIn(metrics, "transport.coalesced_frames")),
-      m_coalesced_riders_(obs::CounterIn(metrics, "transport.coalesced_riders")),
-      m_frame_cache_invalidate_(
-          obs::CounterIn(metrics, "transport.frame_cache_invalidate")),
-      use_frame_cache_(conduit->WantsFrameCache()) {}
+      m_coalesced_riders_(
+          obs::CounterIn(metrics, "transport.coalesced_riders")) {}
 
 Transport::~Transport() { *alive_ = false; }
 
@@ -69,19 +67,6 @@ void Transport::SendOnWire(Packet&& p) {
     }
   }
   p.trace_id = p.payload ? p.payload->trace_id : 0;
-  if (p.frame_cache) {
-    // Cache validity is decided here, after every per-send field (hints, the
-    // piggyback ack from AttachAck, seq_base) has been stamped: bytes encoded
-    // under a different fingerprint would resurrect stale channel state on
-    // the wire, so they are discarded and the conduit re-encodes.
-    FrameCache& fc = *p.frame_cache;
-    if (!fc.bytes.empty() && !fc.Matches(p)) {
-      fc.bytes.clear();
-      ++frame_cache_invalidations_;
-      m_frame_cache_invalidate_->Inc();
-    }
-    if (fc.bytes.empty()) fc.Fingerprint(p);
-  }
   if (trace_) {
     trace_->Instant(self_, obs::Track::kNet, "net.send", p.trace_id, "dst",
                     p.dst.value(), "seq", p.seq.valid() ? p.seq.value() : 0);
@@ -90,9 +75,8 @@ void Transport::SendOnWire(Packet&& p) {
 }
 
 void Transport::Stage(SiteId dst, Reliability reliability, uint64_t seq,
-                      EnvelopePtr payload, FrameCachePtr cache) {
-  staging_[dst].push_back(
-      StagedMsg{reliability, seq, std::move(payload), std::move(cache)});
+                      EnvelopePtr payload) {
+  staging_[dst].push_back(StagedMsg{reliability, seq, std::move(payload)});
   if (flush_armed_) return;
   flush_armed_ = true;
   uint64_t gen = generation_;
@@ -126,12 +110,6 @@ void Transport::FlushStaging() {
             SubMsg{msgs[j].reliability, MsgSeq(msgs[j].seq),
                    std::move(msgs[j].payload)});
       }
-      if (end == i + 1) {
-        // Single-message frame: byte-identical to a non-coalesced send, so
-        // the message's encode-once slot applies. A frame with riders is a
-        // different byte string and never one a retransmission replays.
-        p.frame_cache = std::move(msgs[i].cache);
-      }
       if (!p.extra.empty()) {
         ++coalesced_frames_;
         coalesced_riders_ += p.extra.size();
@@ -145,10 +123,9 @@ void Transport::FlushStaging() {
 }
 
 void Transport::SendPacket(SiteId dst, uint64_t seq,
-                           const EnvelopePtr& payload,
-                           const FrameCachePtr& cache) {
+                           const EnvelopePtr& payload) {
   if (options_.coalesce) {
-    Stage(dst, Reliability::kReliable, seq, payload, cache);
+    Stage(dst, Reliability::kReliable, seq, payload);
     return;
   }
   Packet p;
@@ -162,15 +139,13 @@ void Transport::SendPacket(SiteId dst, uint64_t seq,
     p.seq_base = po->second.pending.begin()->first;
   }
   p.payload = payload;
-  p.frame_cache = cache;
   AttachAck(&p);
   SendOnWire(std::move(p));
 }
 
 void Transport::SendDatagram(SiteId dst, EnvelopePtr payload) {
   if (options_.coalesce) {
-    Stage(dst, Reliability::kDatagram, /*seq=*/0, std::move(payload),
-          /*cache=*/nullptr);
+    Stage(dst, Reliability::kDatagram, /*seq=*/0, std::move(payload));
     return;
   }
   Packet p;
@@ -198,13 +173,11 @@ void Transport::SendReliable(SiteId dst, uint64_t token,
   PeerOut& po = out_[dst];
   uint64_t seq = po.next_seq++;
   token_index_.emplace(token, std::make_pair(dst, seq));
-  FrameCachePtr cache =
-      use_frame_cache_ ? std::make_shared<FrameCache>() : nullptr;
-  po.pending.emplace(seq, PendingSend{token, payload, /*sends=*/1, cache});
+  po.pending.emplace(seq, PendingSend{token, payload, /*sends=*/1});
   if (po.pending.size() == 1) {
     po.next_due = rt_->Now() + JitteredInterval(dst, po);
   }
-  SendPacket(dst, seq, payload, cache);
+  SendPacket(dst, seq, payload);
   ArmTimer();
 }
 
@@ -416,7 +389,7 @@ void Transport::OnTimer() {
     uint32_t sent = 0;
     for (auto& [seq, ps] : po.pending) {
       if (sent >= options_.retransmit_burst) break;
-      SendPacket(peer, seq, ps.payload, ps.cache);
+      SendPacket(peer, seq, ps.payload);
       ++ps.sends;
       ++retransmissions_;
       m_retransmit_->Inc();

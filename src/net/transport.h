@@ -3,7 +3,9 @@
 //
 //  * Per-peer sequence numbers. Each (sender, receiver) channel numbers its
 //    reliable packets independently; retransmissions reuse the original
-//    number, so every duplicate is recognisable downstream.
+//    number, so every duplicate is recognisable downstream. Only the number
+//    and payload are reused: a retransmission is a new packet, stamped like
+//    any other send with the current seq_base, piggybacked ack and hints.
 //  * Cumulative piggybacked acks. Every outgoing packet to a peer carries
 //    "all reliable seqs <= ack_cum were received and processed safely"; a
 //    delayed pure ack (empty packet) covers quiet reverse channels. When the
@@ -159,12 +161,6 @@ class Transport {
   size_t outstanding() const { return token_index_.size(); }
 
   uint64_t retransmissions() const { return retransmissions_; }
-  /// Encode-once bookkeeping (only moves when the conduit WantsFrameCache):
-  /// how many times a pending send's cached bytes had to be discarded because
-  /// the channel state under them drifted (ack advanced, hints changed).
-  uint64_t frame_cache_invalidations() const {
-    return frame_cache_invalidations_;
-  }
   uint64_t dup_drops() const { return dup_drops_; }
   uint64_t pure_acks() const { return pure_acks_; }
   uint64_t piggyback_acks() const { return piggyback_acks_; }
@@ -185,10 +181,6 @@ class Transport {
     uint64_t token = 0;
     EnvelopePtr payload;
     uint64_t sends = 1;  // original + retransmissions
-    /// Encode-once slot for this (dst, seq): filled by the conduit on first
-    /// wire encoding, replayed by retransmissions while the fingerprint
-    /// holds. Null when the conduit doesn't serialize (sim network).
-    FrameCachePtr cache;
   };
   struct PeerOut {
     uint64_t next_seq = 1;
@@ -215,10 +207,6 @@ class Transport {
     Reliability reliability = Reliability::kDatagram;
     uint64_t seq = 0;
     EnvelopePtr payload;
-    /// Rides along so a reliable message that flushes alone (no riders) still
-    /// reuses its encode-once slot; a coalesced frame is a different byte
-    /// string from any single-message frame, so riders forgo the cache.
-    FrameCachePtr cache;
   };
 
   void ArmTimer();
@@ -226,12 +214,11 @@ class Transport {
   /// Stamps the frame's trace_id from its primary payload, records the
   /// net.send trace event, and hands the packet to the network.
   void SendOnWire(Packet&& p);
-  void SendPacket(SiteId dst, uint64_t seq, const EnvelopePtr& payload,
-                  const FrameCachePtr& cache);
+  void SendPacket(SiteId dst, uint64_t seq, const EnvelopePtr& payload);
   void AttachAck(Packet* p);
   /// Queues one message for `dst` and arms the zero-delay flush event.
   void Stage(SiteId dst, Reliability reliability, uint64_t seq,
-             EnvelopePtr payload, FrameCachePtr cache);
+             EnvelopePtr payload);
   /// Drains the staging buffers into coalesced frames (one per destination
   /// per max_frame_msgs chunk), each carrying the freshest piggyback ack.
   void FlushStaging();
@@ -262,7 +249,6 @@ class Transport {
   obs::Counter* m_retransmit_;
   obs::Counter* m_coalesced_frames_;
   obs::Counter* m_coalesced_riders_;
-  obs::Counter* m_frame_cache_invalidate_;
   std::function<bool(SiteId, EnvelopePtr)> deliver_fn_;
   std::function<void(uint64_t)> ack_fn_;
   std::function<std::vector<PlacementHint>(SiteId)> hint_fn_;
@@ -288,11 +274,7 @@ class Transport {
   /// kernel's queue may still hold our timer events.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
-  /// Resolved once: Conduit::WantsFrameCache at construction.
-  bool use_frame_cache_ = false;
-
   uint64_t retransmissions_ = 0;
-  uint64_t frame_cache_invalidations_ = 0;
   uint64_t dup_drops_ = 0;
   uint64_t pure_acks_ = 0;
   uint64_t piggyback_acks_ = 0;

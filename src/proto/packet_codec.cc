@@ -272,36 +272,6 @@ void AppendEnvelopeBlob(const net::EnvelopePtr& env, std::string* out,
   wal::PutLengthPrefixed(out, *scratch);
 }
 
-// Body bytes after the dst varint: reliability through riders. Shared by the
-// whole-frame and broadcast-fan-out encoders.
-void AppendBodyAfterDst(const net::Packet& p, std::string* out,
-                        std::string* scratch) {
-  out->push_back(static_cast<char>(p.reliability));
-  wal::PutVarint64(out, p.epoch);
-  wal::PutVarint64(out, p.seq.value());
-  wal::PutVarint64(out, p.seq_base);
-  PutBool(out, p.has_ack);
-  if (p.has_ack) {
-    wal::PutVarint64(out, p.ack_epoch);
-    wal::PutVarint64(out, p.ack_cum);
-  }
-  wal::PutVarint64(out, p.trace_id);
-  wal::PutVarint64(out, p.hints.size());
-  for (const net::PlacementHint& h : p.hints) {
-    wal::PutVarint64(out, h.item.value());
-    wal::PutVarsint64(out, h.surplus);
-    wal::PutVarsint64(out, h.demand);
-    wal::PutVarint64(out, h.stamp);
-  }
-  AppendEnvelopeBlob(p.payload, out, scratch);
-  wal::PutVarint64(out, p.extra.size());
-  for (const net::SubMsg& sub : p.extra) {
-    out->push_back(static_cast<char>(sub.reliability));
-    wal::PutVarint64(out, sub.seq.value());
-    AppendEnvelopeBlob(sub.payload, out, scratch);
-  }
-}
-
 // The kind byte of a codec-known envelope; 0 for any other type.
 uint8_t KindOf(const net::Envelope& env) {
   std::string_view tag = env.Tag();
@@ -462,20 +432,30 @@ void EncodePacketTo(const net::Packet& p, std::string* out,
   const size_t body_pos = out->size();
   wal::PutVarint64(out, p.src.value());
   wal::PutVarint64(out, p.dst.value());
-  AppendBodyAfterDst(p, out, scratch);
-  PatchFixed32(out, crc_pos,
-               wal::Crc32c(std::string_view(*out).substr(body_pos)));
-}
-
-void EncodePacketWithDstTo(const net::Packet& p, SiteId dst, std::string* out,
-                           std::string* tail, std::string* scratch) {
-  if (tail->empty()) AppendBodyAfterDst(p, tail, scratch);
-  const size_t crc_pos = out->size();
-  out->append(4, '\0');
-  const size_t body_pos = out->size();
-  wal::PutVarint64(out, p.src.value());
-  wal::PutVarint64(out, dst.value());
-  out->append(*tail);
+  out->push_back(static_cast<char>(p.reliability));
+  wal::PutVarint64(out, p.epoch);
+  wal::PutVarint64(out, p.seq.value());
+  wal::PutVarint64(out, p.seq_base);
+  PutBool(out, p.has_ack);
+  if (p.has_ack) {
+    wal::PutVarint64(out, p.ack_epoch);
+    wal::PutVarint64(out, p.ack_cum);
+  }
+  wal::PutVarint64(out, p.trace_id);
+  wal::PutVarint64(out, p.hints.size());
+  for (const net::PlacementHint& h : p.hints) {
+    wal::PutVarint64(out, h.item.value());
+    wal::PutVarsint64(out, h.surplus);
+    wal::PutVarsint64(out, h.demand);
+    wal::PutVarint64(out, h.stamp);
+  }
+  AppendEnvelopeBlob(p.payload, out, scratch);
+  wal::PutVarint64(out, p.extra.size());
+  for (const net::SubMsg& sub : p.extra) {
+    out->push_back(static_cast<char>(sub.reliability));
+    wal::PutVarint64(out, sub.seq.value());
+    AppendEnvelopeBlob(sub.payload, out, scratch);
+  }
   PatchFixed32(out, crc_pos,
                wal::Crc32c(std::string_view(*out).substr(body_pos)));
 }

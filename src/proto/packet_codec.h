@@ -42,19 +42,10 @@ std::string EncodePacket(const net::Packet& packet);
 /// Appends a whole frame (fixed32 CRC + body) to *out, byte-for-byte equal to
 /// EncodePacket. `scratch` is a caller-owned buffer reused for nested
 /// envelope blobs; with warmed capacities in *out and *scratch the call
-/// performs zero heap allocations — the transport fast path depends on that.
+/// performs zero heap allocations — the UDP conduit's send path depends on
+/// that.
 void EncodePacketTo(const net::Packet& packet, std::string* out,
                     std::string* scratch);
-
-/// Broadcast fan-out helper: the frame layout is CRC | src | dst | rest, and
-/// for a fan-out only `dst` (and hence the CRC) differs per leg. Encodes
-/// `rest` once into *tail when *tail is empty, then assembles the frame for
-/// `dst` by splicing the header onto the shared tail and patching the
-/// checksum. Byte-for-byte equal to EncodePacket on a copy of `packet` with
-/// its dst replaced. Callers reuse one cleared *tail per fan-out.
-void EncodePacketWithDstTo(const net::Packet& packet, SiteId dst,
-                           std::string* out, std::string* tail,
-                           std::string* scratch);
 
 /// Decodes a frame produced by EncodePacket. Rejects (kCorruption) bad
 /// checksums, truncations, unknown envelope kinds, and trailing garbage.

@@ -285,23 +285,6 @@ void UdpConduit::SendNow(uint32_t src, uint32_t dst, const char* data,
   }
 }
 
-void UdpConduit::StageOrSend(uint32_t src, uint32_t dst, const char* data,
-                             size_t len) {
-#ifdef __linux__
-  if (options_.batch_io && loops_[src]->running() &&
-      loops_[src]->OnLoopThread()) {
-    SendState& st = *send_states_[src];
-    size_t cap_before = st.batch.capacity();
-    size_t off = st.batch.size();
-    st.batch.append(data, len);
-    NoteBufferGrowth(cap_before, st.batch.capacity());
-    st.staged.push_back(SendState::Range{off, len, dst});
-    return;
-  }
-#endif
-  SendNow(src, dst, data, len);
-}
-
 void UdpConduit::FlushSends(uint32_t site) {
   SendState& st = *send_states_[site];
   if (st.staged.empty()) return;
@@ -369,100 +352,47 @@ void UdpConduit::Send(net::Packet packet) {
   if (DropInjected()) return;
   uint32_t src = packet.src.value();
   uint32_t dst = packet.dst.value();
-  if (!options_.frame_cache || !loops_[src]->OnLoopThread()) {
-    // Legacy path (also the thread-safe one for foreign-thread callers in
-    // tests): fresh heap string per frame, exactly the PR 9 cost model the
-    // latency bench uses as its baseline.
+  frames_encoded_.fetch_add(1, std::memory_order_relaxed);
+  if (!loops_[src]->OnLoopThread()) {
+    // Off the loop thread (a test driving the conduit directly, a stopped
+    // loop) the per-site buffers are not ours to touch: encode into a local
+    // string and send at once.
     std::string frame = proto::EncodePacket(packet);
-    frames_encoded_.fetch_add(1, std::memory_order_relaxed);
     frame_buffer_allocs_.fetch_add(1, std::memory_order_relaxed);
     if (frame.size() > kMaxDatagram) {
       oversize_frames_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (loops_[src]->OnLoopThread()) {
-      StageOrSend(src, dst, frame.data(), frame.size());
-    } else {
-      SendNow(src, dst, frame.data(), frame.size());
-    }
+    SendNow(src, dst, frame.data(), frame.size());
     return;
   }
+  // Encode in place behind the frames already staged this loop iteration;
+  // FlushSends sends them all before the loop next blocks.
   SendState& st = *send_states_[src];
-  net::FrameCache* fc = packet.frame_cache.get();
-  const std::string* bytes;
-  if (fc && !fc->bytes.empty()) {
-    // Encode-once payoff: a retransmission whose channel-state fingerprint
-    // still matches (the transport validated it in SendOnWire) replays the
-    // first encoding byte for byte.
-    frame_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    bytes = &fc->bytes;
-  } else {
-    std::string* out = fc ? &fc->bytes : &st.frame;
-    size_t cap_before = out->capacity() + st.env_scratch.capacity();
-    out->clear();
-    proto::EncodePacketTo(packet, out, &st.env_scratch);
-    NoteBufferGrowth(cap_before, out->capacity() + st.env_scratch.capacity());
-    frames_encoded_.fetch_add(1, std::memory_order_relaxed);
-    bytes = out;
-  }
-  if (bytes->size() > kMaxDatagram) {
+  size_t cap_before = st.batch.capacity() + st.env_scratch.capacity();
+  size_t off = st.batch.size();
+  proto::EncodePacketTo(packet, &st.batch, &st.env_scratch);
+  NoteBufferGrowth(cap_before, st.batch.capacity() + st.env_scratch.capacity());
+  size_t len = st.batch.size() - off;
+  if (len > kMaxDatagram) {
     oversize_frames_.fetch_add(1, std::memory_order_relaxed);
-    if (fc) fc->bytes.clear();  // never replay an unsendable frame
+    st.batch.resize(off);
     return;
   }
-  StageOrSend(src, dst, bytes->data(), bytes->size());
+  st.staged.push_back(SendState::Range{off, len, dst});
 }
 
 void UdpConduit::Broadcast(SiteId src, net::EnvelopePtr payload) {
-  uint32_t s = src.value();
-  if (!options_.frame_cache || !loops_[s]->OnLoopThread()) {
-    for (uint32_t d = 0; d < num_sites(); ++d) {
-      if (d == s) continue;
-      broadcast_legs_.fetch_add(1, std::memory_order_relaxed);
-      broadcast_payload_encodes_.fetch_add(1, std::memory_order_relaxed);
-      net::Packet p;
-      p.src = src;
-      p.dst = SiteId(d);
-      p.reliability = net::Reliability::kDatagram;
-      p.trace_id = payload ? payload->trace_id : 0;
-      p.payload = payload;
-      Send(std::move(p));
-    }
-    return;
-  }
-  // Fast path: CRC | src | dst | rest — only dst and the checksum differ per
-  // leg, so the rest (including the payload envelope) is encoded exactly
-  // once into the shared tail and spliced per destination.
-  SendState& st = *send_states_[s];
-  net::Packet p;
-  p.src = src;
-  p.dst = src;  // template; the real destination is patched per leg
-  p.reliability = net::Reliability::kDatagram;
-  p.trace_id = payload ? payload->trace_id : 0;
-  p.payload = std::move(payload);
-  st.bcast_tail.clear();
   for (uint32_t d = 0; d < num_sites(); ++d) {
-    if (d == s) continue;
+    if (d == src.value()) continue;
     broadcast_legs_.fetch_add(1, std::memory_order_relaxed);
-    if (DropInjected()) continue;
-    size_t cap_before = st.frame.capacity() + st.bcast_tail.capacity() +
-                        st.env_scratch.capacity();
-    bool builds_tail = st.bcast_tail.empty();
-    st.frame.clear();
-    proto::EncodePacketWithDstTo(p, SiteId(d), &st.frame, &st.bcast_tail,
-                                 &st.env_scratch);
-    NoteBufferGrowth(cap_before, st.frame.capacity() +
-                                     st.bcast_tail.capacity() +
-                                     st.env_scratch.capacity());
-    if (builds_tail) {
-      broadcast_payload_encodes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    frames_encoded_.fetch_add(1, std::memory_order_relaxed);
-    if (st.frame.size() > kMaxDatagram) {
-      oversize_frames_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    StageOrSend(s, d, st.frame.data(), st.frame.size());
+    net::Packet p;
+    p.src = src;
+    p.dst = SiteId(d);
+    p.reliability = net::Reliability::kDatagram;
+    p.trace_id = payload ? payload->trace_id : 0;
+    p.payload = payload;
+    Send(std::move(p));
   }
 }
 
@@ -494,37 +424,34 @@ void UdpConduit::RegisterEndpoint(SiteId site, net::DeliveryFn deliver,
 
 void UdpConduit::DrainSocket(uint32_t site) {
 #ifdef __linux__
-  if (options_.batch_io) {
-    RecvState& rs = *recv_states_[site];
-    if (rs.bufs.empty()) {
-      // First drain on this socket: size the reused buffer set once.
-      rs.bufs.resize(RecvState::kBatch * RecvState::kBufSize);
-      for (int i = 0; i < RecvState::kBatch; ++i) {
-        rs.iovs[i].iov_base = rs.bufs.data() + i * RecvState::kBufSize;
-        rs.iovs[i].iov_len = RecvState::kBufSize;
-        rs.msgs[i] = mmsghdr{};
-        rs.msgs[i].msg_hdr.msg_iov = &rs.iovs[i];
-        rs.msgs[i].msg_hdr.msg_iovlen = 1;
-      }
-    }
-    for (;;) {
-      int n = ::recvmmsg(fds_[site], rs.msgs, RecvState::kBatch, MSG_DONTWAIT,
-                         nullptr);
-      recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN (drained) or transient error: treat as loss
-      }
-      for (int i = 0; i < n; ++i) {
-        HandleFrame(site,
-                    rs.bufs.data() + static_cast<size_t>(i) *
-                                         RecvState::kBufSize,
-                    rs.msgs[i].msg_len);
-      }
-      if (n < RecvState::kBatch) return;  // socket drained
+  RecvState& rs = *recv_states_[site];
+  if (rs.bufs.empty()) {
+    // First drain on this socket: size the reused buffer set once.
+    rs.bufs.resize(RecvState::kBatch * RecvState::kBufSize);
+    for (int i = 0; i < RecvState::kBatch; ++i) {
+      rs.iovs[i].iov_base = rs.bufs.data() + i * RecvState::kBufSize;
+      rs.iovs[i].iov_len = RecvState::kBufSize;
+      rs.msgs[i] = mmsghdr{};
+      rs.msgs[i].msg_hdr.msg_iov = &rs.iovs[i];
+      rs.msgs[i].msg_hdr.msg_iovlen = 1;
     }
   }
-#endif
+  for (;;) {
+    int n = ::recvmmsg(fds_[site], rs.msgs, RecvState::kBatch, MSG_DONTWAIT,
+                       nullptr);
+    recv_syscalls_.fetch_add(1, std::memory_order_relaxed);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN (drained) or transient error: treat as loss
+    }
+    for (int i = 0; i < n; ++i) {
+      HandleFrame(site,
+                  rs.bufs.data() + static_cast<size_t>(i) * RecvState::kBufSize,
+                  rs.msgs[i].msg_len);
+    }
+    if (n < RecvState::kBatch) return;  // socket drained
+  }
+#else
   char buf[65536];
   for (;;) {
     ssize_t n = ::recv(fds_[site], buf, sizeof buf, 0);
@@ -536,6 +463,7 @@ void UdpConduit::DrainSocket(uint32_t site) {
     }
     HandleFrame(site, buf, static_cast<size_t>(n));
   }
+#endif
 }
 
 uint16_t UdpConduit::port(SiteId site) const {
@@ -557,10 +485,7 @@ UdpConduit::Stats UdpConduit::stats() const {
   s.send_syscalls = send_syscalls_.load(std::memory_order_relaxed);
   s.recv_syscalls = recv_syscalls_.load(std::memory_order_relaxed);
   s.frames_encoded = frames_encoded_.load(std::memory_order_relaxed);
-  s.frame_cache_hits = frame_cache_hits_.load(std::memory_order_relaxed);
   s.broadcast_legs = broadcast_legs_.load(std::memory_order_relaxed);
-  s.broadcast_payload_encodes =
-      broadcast_payload_encodes_.load(std::memory_order_relaxed);
   s.frame_buffer_allocs = frame_buffer_allocs_.load(std::memory_order_relaxed);
   return s;
 }
@@ -582,9 +507,7 @@ void UdpConduit::ExportStats(obs::MetricsRegistry* metrics) const {
   set("udp.send_syscalls", s.send_syscalls);
   set("udp.recv_syscalls", s.recv_syscalls);
   set("udp.frames_encoded", s.frames_encoded);
-  set("udp.frame_cache_hits", s.frame_cache_hits);
   set("udp.broadcast_legs", s.broadcast_legs);
-  set("udp.broadcast_payload_encodes", s.broadcast_payload_encodes);
   set("udp.frame_buffer_allocs", s.frame_buffer_allocs);
 }
 

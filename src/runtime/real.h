@@ -141,12 +141,21 @@ class EventLoop final : public Runtime {
 };
 
 /// The transport endpoint of the real runtime: one loopback UDP socket per
-/// site, packets framed by proto::EncodePacket/DecodePacket. A site's
+/// site, packets framed by proto::EncodePacketTo/DecodePacket. A site's
 /// datagrams are received and decoded on that site's own loop thread, so
 /// delivery lands in the protocol exactly where a kernel delivery event
 /// would. Loss is real (and injectable); a frame that fails to decode, or
 /// names a site outside the cluster, is dropped silently — precisely the
 /// paper's lossy-channel model.
+///
+/// One wire path. A send on the site's loop thread encodes the packet
+/// straight into that site's staging buffer and leaves with everything else
+/// the loop iteration staged, just before the loop blocks; receives drain
+/// the socket in batches. On Linux both directions are batched syscalls
+/// (sendmmsg/recvmmsg); other platforms send the staged frames one sendto
+/// each and receive with a recv loop. A send from any other thread (tests,
+/// a stopped loop) encodes into a local string and goes out at once with
+/// one sendto.
 class UdpConduit final : public net::Conduit {
  public:
   struct Options {
@@ -154,20 +163,6 @@ class UdpConduit final : public net::Conduit {
     /// (0 = off). Counter-based, so a fixed workload sees a fixed drop
     /// pattern — the real-runtime analogue of the sim's loss probability.
     uint64_t drop_one_in = 0;
-    /// Batched syscalls: stage outgoing datagrams per loop iteration and
-    /// drain them through one sendmmsg() before the loop blocks; read with
-    /// recvmmsg() into a reused buffer set. Off = one sendto()/recv() per
-    /// datagram (the portability fallback, also the PR 9 baseline the
-    /// latency bench compares against). Non-Linux builds always take the
-    /// single-shot path regardless of this flag.
-    bool batch_io = true;
-    /// Encode-once: answer WantsFrameCache so the transport attaches a
-    /// FrameCache to reliable sends (retransmissions replay the first
-    /// encoding), encode broadcast fan-outs once and patch only the
-    /// destination, and reuse per-site scratch buffers so the steady-state
-    /// datagram path allocates nothing. Off = every send encodes into a
-    /// fresh heap string (the PR 9 baseline).
-    bool frame_cache = true;
   };
 
   struct Stats {
@@ -183,11 +178,11 @@ class UdpConduit final : public net::Conduit {
     uint64_t dropped_down = 0;   ///< destination's is_up() said no
     uint64_t send_syscalls = 0;  ///< sendto + sendmmsg calls
     uint64_t recv_syscalls = 0;  ///< recv + recvmmsg calls
-    uint64_t frames_encoded = 0;     ///< actual EncodePacket* executions
-    uint64_t frame_cache_hits = 0;   ///< sends that replayed cached bytes
+    uint64_t frames_encoded = 0;     ///< packets encoded (one per send)
+    /// Always 0: every send encodes its packet, nothing is replayed. Kept
+    /// because the benchmark's runtime.frame_cache_hit_ratio reads it.
+    uint64_t frame_cache_hits = 0;
     uint64_t broadcast_legs = 0;     ///< fan-out destinations attempted
-    uint64_t broadcast_payload_encodes = 0;  ///< shared tails built (once
-                                             ///< per fan-out, not per leg)
     uint64_t frame_buffer_allocs = 0;  ///< frame/batch buffer heap growths
   };
 
@@ -202,15 +197,13 @@ class UdpConduit final : public net::Conduit {
   void RegisterEndpoint(SiteId site, net::DeliveryFn deliver,
                         std::function<bool()> is_up) override;
   void Send(net::Packet packet) override;
-  /// Best-effort datagram fan-out. NOT the sim's loss-free atomic ordered
-  /// broadcast — Conc2 soundness does not carry over (see net/conduit.h).
-  /// With Options::frame_cache the shared body is encoded once and only the
-  /// destination field (and checksum) is patched per leg.
+  /// Best-effort datagram fan-out: one Send per other site. NOT the sim's
+  /// loss-free atomic ordered broadcast, so Conc2 is unsound here and
+  /// system::RealCluster refuses it (see net/conduit.h).
   void Broadcast(SiteId src, net::EnvelopePtr payload) override;
   uint32_t num_sites() const override {
     return static_cast<uint32_t>(loops_.size());
   }
-  bool WantsFrameCache() const override { return options_.frame_cache; }
 
   uint16_t port(SiteId site) const;
   Stats stats() const;
@@ -231,9 +224,7 @@ class UdpConduit final : public net::Conduit {
   /// clear()ed, never shrunk, so their capacities warm up once and the
   /// steady-state path stops allocating.
   struct SendState {
-    /// Staged outgoing datagrams, contiguous. Frames are copied in at stage
-    /// time (not referenced) so a pending-send cache entry freed before the
-    /// flush — cum-acked or cancelled — can never dangle under an iovec.
+    /// Staged outgoing datagrams, encoded back to back in place.
     std::string batch;
     struct Range {
       size_t off;
@@ -241,23 +232,19 @@ class UdpConduit final : public net::Conduit {
       uint32_t dst;
     };
     std::vector<Range> staged;
-    std::string frame;        ///< encode target for uncached frames
     std::string env_scratch;  ///< nested envelope blobs (codec scratch)
-    std::string bcast_tail;   ///< shared broadcast body (after dst field)
   };
 
   /// Reads every pending datagram off `site`'s socket (loop thread only).
   void DrainSocket(uint32_t site);
-  /// Decode + deliver one received frame (shared by both I/O modes).
+  /// Decode + deliver one received frame.
   void HandleFrame(uint32_t site, const char* data, size_t len);
   /// True when the packet was claimed by injected drop (counter bumped).
   bool DropInjected();
-  /// Stages `len` bytes for dst (batched mode on the loop thread) or sends
-  /// them immediately (fallback mode, foreign threads, stopped loops).
-  void StageOrSend(uint32_t src, uint32_t dst, const char* data, size_t len);
   /// One classified sendto: EINTR retried, EAGAIN/ENOBUFS soft, rest hard.
   void SendNow(uint32_t src, uint32_t dst, const char* data, size_t len);
-  /// Drains site's staged datagrams through sendmmsg (pre-poll hook).
+  /// Drains site's staged datagrams (pre-poll hook): sendmmsg on Linux,
+  /// one sendto each elsewhere.
   void FlushSends(uint32_t site);
   /// Tracks capacity growth of a reused buffer across an append/encode.
   void NoteBufferGrowth(size_t cap_before, size_t cap_after);
@@ -284,9 +271,7 @@ class UdpConduit final : public net::Conduit {
   std::atomic<uint64_t> send_syscalls_{0};
   std::atomic<uint64_t> recv_syscalls_{0};
   std::atomic<uint64_t> frames_encoded_{0};
-  std::atomic<uint64_t> frame_cache_hits_{0};
   std::atomic<uint64_t> broadcast_legs_{0};
-  std::atomic<uint64_t> broadcast_payload_encodes_{0};
   std::atomic<uint64_t> frame_buffer_allocs_{0};
 };
 

@@ -1,6 +1,8 @@
 #include "system/real_cluster.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <utility>
 
@@ -12,6 +14,15 @@ namespace dvp::system {
 RealCluster::RealCluster(const core::Catalog* catalog,
                          RealClusterOptions options)
     : catalog_(catalog), options_(options), rng_(options.seed) {
+  if (options_.site.txn.scheme == cc::CcScheme::kConc2) {
+    // Conc2 is sound only over a loss-free atomic ordered broadcast (§6.2);
+    // UdpConduit::Broadcast is a best-effort datagram fan-out. Running it
+    // anyway would lose or reorder requests without any error to show.
+    std::fprintf(stderr,
+                 "RealCluster: concurrency scheme Conc2 needs an atomic "
+                 "ordered broadcast, which the real runtime does not have\n");
+    std::abort();
+  }
   real_ = std::make_unique<runtime::Real>(options_.num_sites,
                                           options_.runtime);
   storages_.reserve(options_.num_sites);

@@ -14,6 +14,9 @@
 //  * Fault injection (partitions, crash/recover) is not carried over; the
 //    sim remains the place where failures are searched. Real loss exists —
 //    and can be injected per-datagram via Options::runtime.
+//  * Conc2 is not carried over: it needs the sim's atomic ordered
+//    broadcast, and the UDP conduit's Broadcast is a best-effort fan-out.
+//    Constructing a RealCluster with scheme kConc2 aborts.
 #pragma once
 
 #include <memory>

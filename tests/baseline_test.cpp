@@ -113,6 +113,20 @@ TEST_F(TwoPcTest, QuorumSerialUpdatesReadLatestVersion) {
   EXPECT_EQ(r.read_values.at(item_), 70);
 }
 
+// A snapshot read is served like a whole-value read: the quorum's latest
+// version is already a consistent cut, so the value comes back.
+TEST_F(TwoPcTest, SnapshotReadReturnsTheQuorumValue) {
+  MakeCluster(ReplicaPolicy::kQuorum);
+  ASSERT_EQ(SubmitAndRun(SiteId(0), Decr(item_, 10)).outcome,
+            TxnOutcome::kCommitted);
+  TxnSpec read;
+  read.ops = {TxnOp::ReadSnapshot(item_)};
+  TxnResult r = SubmitAndRun(SiteId(3), read);
+  ASSERT_EQ(r.outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(r.read_values.count(item_), 1u) << "snapshot read returned nothing";
+  EXPECT_EQ(r.read_values.at(item_), 90);
+}
+
 TEST_F(TwoPcTest, ParticipantBlocksWhenPartitionHitsUncertaintyWindow) {
   // Slow the links so we can partition mid-protocol deterministically.
   TwoPcOptions opts;
@@ -174,6 +188,34 @@ TEST(PrimaryCopyTest, RoutesToPrimaryAndCommits) {
   ASSERT_TRUE(done);
   EXPECT_EQ(out.outcome, TxnOutcome::kCommitted);
   EXPECT_EQ(cluster.PrimaryValue(item), 43);
+}
+
+// The primary holds the sole copy, so a snapshot read returns its value.
+TEST(PrimaryCopyTest, SnapshotReadReturnsThePrimaryValue) {
+  core::Catalog catalog;
+  ItemId item = catalog.AddItem("stock", CountDomain::Instance(), 50);
+  PrimaryCopyOptions opts;
+  opts.num_sites = 4;
+  PrimaryCopyCluster cluster(&catalog, opts);
+  cluster.Bootstrap();
+
+  TxnSpec read;
+  read.ops = {TxnOp::ReadSnapshot(item)};
+  TxnResult out;
+  bool done = false;
+  ASSERT_TRUE(cluster
+                  .Submit(SiteId(2), read,
+                          [&](const TxnResult& r) {
+                            out = r;
+                            done = true;
+                          })
+                  .ok());
+  cluster.RunFor(1'000'000);
+  ASSERT_TRUE(done);
+  ASSERT_EQ(out.outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(out.read_values.count(item), 1u)
+      << "snapshot read returned nothing";
+  EXPECT_EQ(out.read_values.at(item), 50);
 }
 
 TEST(PrimaryCopyTest, UnreachablePrimaryMeansUnavailable) {

@@ -496,7 +496,9 @@ TEST_P(PacketCodecFuzzTest, RandomBytesNeverCrashDecodePacket) {
   for (int trial = 0; trial < 2'000; ++trial) {
     std::string bytes = RandomBytes(rng, rng.NextBounded(128));
     auto p = proto::DecodePacket(bytes);
-    if (!p.ok()) EXPECT_EQ(p.status().code(), StatusCode::kCorruption);
+    if (!p.ok()) {
+      EXPECT_EQ(p.status().code(), StatusCode::kCorruption);
+    }
   }
 }
 
@@ -505,16 +507,13 @@ TEST_P(PacketCodecFuzzTest, RandomPacketsRoundTrip) {
   for (int trial = 0; trial < 300; ++trial) {
     net::Packet p = RandomPacket(rng);
     std::string frame = proto::EncodePacket(p);
-    // The append-style APIs the fast path uses must be byte-identical to the
-    // fresh-string encoder for every packet shape the fuzzer can produce —
-    // the frame cache replays these bytes verbatim on retransmission.
+    // The append API the UDP conduit stages frames with must be
+    // byte-identical to the fresh-string encoder for every packet shape the
+    // fuzzer can produce, whatever is already in the buffer.
     std::string appended = "prefix";
     std::string scratch;
     proto::EncodePacketTo(p, &appended, &scratch);
     EXPECT_EQ(appended.substr(6), frame);
-    std::string patched, tail;
-    proto::EncodePacketWithDstTo(p, p.dst, &patched, &tail, &scratch);
-    EXPECT_EQ(patched, frame);
     auto rt = proto::DecodePacket(frame);
     ASSERT_TRUE(rt.ok()) << rt.status().ToString();
     EXPECT_EQ(rt->src, p.src);
@@ -658,22 +657,9 @@ TEST(PacketCodecAppendTest, AllEnvelopeKindsEncodeIdenticallyViaAppendApis) {
     std::string appended, scratch;
     proto::EncodePacketTo(p, &appended, &scratch);
     EXPECT_EQ(appended, fresh) << "kind " << p.payload->Tag();
-
-    // Fan-out: one shared tail, three destinations. Each patched frame must
-    // equal a from-scratch encode for that destination.
-    std::string tail;
-    for (uint32_t d = 1; d <= 3; ++d) {
-      std::string out;
-      proto::EncodePacketWithDstTo(p, SiteId(d), &out, &tail, &scratch);
-      net::Packet q = p;
-      q.dst = SiteId(d);
-      EXPECT_EQ(out, proto::EncodePacket(q))
-          << "kind " << p.payload->Tag() << " dst " << d;
-      auto rt = proto::DecodePacket(out);
-      ASSERT_TRUE(rt.ok()) << rt.status().ToString();
-      EXPECT_EQ(rt->dst, SiteId(d));
-      EXPECT_EQ(rt->payload->Tag(), p.payload->Tag());
-    }
+    auto rt = proto::DecodePacket(appended);
+    ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+    EXPECT_EQ(rt->payload->Tag(), p.payload->Tag());
   }
 }
 

@@ -29,6 +29,7 @@
 #include "runtime/real.h"
 #include "runtime/runtime.h"
 #include "sim/kernel.h"
+#include "system/real_cluster.h"
 #include "wal/encoding.h"
 #include "wal/record.h"
 #include "wal/stable_storage.h"
@@ -217,20 +218,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformanceTest,
 
 // ---- Real-runtime-only: the transport over actual lossy UDP ----------------
 
-/// Parameterized over the conduit's two wire paths: the single-shot
-/// sendto/recv fallback and the fast path (encode-once frame cache plus
-/// batched sendmmsg/recvmmsg). Exactly-once delivery under injected loss
-/// must hold identically in both — the fast path is an optimization of the
-/// wire, never of the semantics.
-class RealTransportIoModeTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(RealTransportIoModeTest, ReliableSendsDeliverExactlyOnceUnderUdpDrops) {
-  const bool fast_path = GetParam();
+TEST(RealTransportTest, ReliableSendsDeliverExactlyOnceUnderUdpDrops) {
   constexpr uint32_t kMessages = 40;
   runtime::Real::Options opts;
   opts.net.drop_one_in = 3;  // every third datagram vanishes before the wire
-  opts.net.batch_io = fast_path;
-  opts.net.frame_cache = fast_path;
   runtime::Real real(2, opts);
 
   obs::MetricsRegistry metrics0, metrics1;
@@ -297,25 +288,21 @@ TEST_P(RealTransportIoModeTest, ReliableSendsDeliverExactlyOnceUnderUdpDrops) {
   // transport visibly retransmitted around them.
   EXPECT_GT(real.conduit().stats().datagrams_dropped_injected, 0u);
   EXPECT_GT(t0.retransmissions(), 0u);
-  if (fast_path) {
-    // Encode-once bookkeeping: every retransmission either replayed its
-    // cached bytes or re-encoded only after a counted invalidation.
-    EXPECT_LE(real.conduit().stats().frame_cache_hits +
-                  t0.frame_cache_invalidations() +
-                  t1.frame_cache_invalidations(),
-              t0.retransmissions() + t1.retransmissions());
-  } else {
-    // The baseline path never touches the cache machinery.
-    EXPECT_EQ(real.conduit().stats().frame_cache_hits, 0u);
-    EXPECT_EQ(t0.frame_cache_invalidations(), 0u);
-  }
+  // Every send encodes its packet; nothing is replayed.
+  EXPECT_EQ(real.conduit().stats().frame_cache_hits, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(IoModes, RealTransportIoModeTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("FastPath")
-                                             : std::string("SingleShot");
-                         });
+// Conc2 needs the sim's atomic ordered broadcast; the UDP conduit's is a
+// best-effort fan-out, so a real cluster refuses the scheme outright.
+TEST(RealClusterDeathTest, RefusesConc2AtConstruction) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Catalog catalog;
+  catalog.AddItem("stock", core::CountDomain::Instance(), 100);
+  system::RealClusterOptions opts;
+  opts.num_sites = 2;
+  opts.site.txn.scheme = cc::CcScheme::kConc2;
+  EXPECT_DEATH({ system::RealCluster cluster(&catalog, opts); }, "Conc2");
+}
 
 // Any local socket can send the conduit a CRC-valid frame. One that names a
 // site outside the cluster, or is addressed to another site, must be

@@ -52,6 +52,7 @@ TEST_F(WorkloadTest, MixProportionsAreRespected) {
         ++inc;
         break;
       case txn::TxnOp::Kind::kReadFull:
+      case txn::TxnOp::Kind::kReadSnapshot:
         ++read;
         break;
     }
