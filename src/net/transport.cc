@@ -380,6 +380,9 @@ void Transport::ArmTimer() {
 }
 
 void Transport::OnTimer() {
+  // At most this many pending payloads are retransmitted to one peer per
+  // backoff round (kills retransmission storms during partitions).
+  constexpr uint32_t kRetransmitBurst = 8;
   SimTime now = rt_->Now();
   for (auto& [peer, po] : out_) {
     if (po.pending.empty() || po.next_due > now) continue;
@@ -388,7 +391,7 @@ void Transport::OnTimer() {
     // them, so a retransmission must be indistinguishable from a link dup.
     uint32_t sent = 0;
     for (auto& [seq, ps] : po.pending) {
-      if (sent >= options_.retransmit_burst) break;
+      if (sent >= kRetransmitBurst) break;
       SendPacket(peer, seq, ps.payload);
       ++ps.sends;
       ++retransmissions_;

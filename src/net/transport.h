@@ -66,9 +66,6 @@ class Transport {
     /// Delayed pure-ack fallback: how long the receiver waits for reverse
     /// traffic to piggyback on before sending an empty ack packet.
     SimTime ack_delay_us = 10'000;
-    /// At most this many pending payloads are retransmitted to one peer per
-    /// backoff round (kills retransmission storms during partitions).
-    uint32_t retransmit_burst = 8;
     /// Receive-window width: reliable seqs further than this beyond the
     /// cumulative watermark are dropped (the sender retries later), which
     /// bounds the out-of-order dedup set per peer.

@@ -11,13 +11,13 @@ namespace dvp::proto {
 namespace {
 
 // Envelope kind bytes. Frozen: the UDP conduit speaks this across address
-// spaces, so renumbering is a wire break.
+// spaces, so renumbering is a wire break. Byte 6 (the old surplus NACK, now a
+// GatherNack reason) is retired and decodes as an unknown kind.
 constexpr uint8_t kKindRequest = 1;
 constexpr uint8_t kKindVmTransfer = 2;
 constexpr uint8_t kKindVmAck = 3;
 constexpr uint8_t kKindVmClosure = 4;
-constexpr uint8_t kKindCcNack = 5;
-constexpr uint8_t kKindSurplusNack = 6;
+constexpr uint8_t kKindGatherNack = 5;
 constexpr uint8_t kKindSnapshotReq = 7;
 constexpr uint8_t kKindSnapshotReply = 8;
 
@@ -151,31 +151,24 @@ StatusOr<net::EnvelopePtr> DecodeVmClosure(wal::Decoder& dec) {
   return net::EnvelopePtr(std::move(m));
 }
 
-void EncodeCcNack(std::string* body, const CcNackMsg& m) {
+void EncodeGatherNack(std::string* body, const GatherNackMsg& m) {
   wal::PutVarint64(body, m.from.value());
-  wal::PutVarint64(body, m.ts_packed);
-}
-
-StatusOr<net::EnvelopePtr> DecodeCcNack(wal::Decoder& dec) {
-  auto m = net::MakeEnvelope<CcNackMsg>();
-  if (!GetId(&dec, &m->from) || !dec.GetVarint64(&m->ts_packed)) {
-    return Status::Corruption("cc nack: truncated");
-  }
-  return net::EnvelopePtr(std::move(m));
-}
-
-void EncodeSurplusNack(std::string* body, const SurplusNackMsg& m) {
-  wal::PutVarint64(body, m.from.value());
+  body->push_back(static_cast<char>(m.reason));
   wal::PutVarint64(body, m.item.value());
   wal::PutVarint64(body, m.ts_packed);
 }
 
-StatusOr<net::EnvelopePtr> DecodeSurplusNack(wal::Decoder& dec) {
-  auto m = net::MakeEnvelope<SurplusNackMsg>();
-  if (!GetId(&dec, &m->from) || !GetId(&dec, &m->item) ||
-      !dec.GetVarint64(&m->ts_packed)) {
-    return Status::Corruption("surplus nack: truncated");
+StatusOr<net::EnvelopePtr> DecodeGatherNack(wal::Decoder& dec) {
+  auto m = net::MakeEnvelope<GatherNackMsg>();
+  uint64_t reason = 0;
+  if (!GetId(&dec, &m->from) || !dec.GetVarint64(&reason) ||
+      !GetId(&dec, &m->item) || !dec.GetVarint64(&m->ts_packed)) {
+    return Status::Corruption("gather nack: truncated");
   }
+  if (reason > static_cast<uint64_t>(GatherNackMsg::Reason::kEmpty)) {
+    return Status::Corruption("gather nack: unknown reason");
+  }
+  m->reason = static_cast<GatherNackMsg::Reason>(reason);
   return net::EnvelopePtr(std::move(m));
 }
 
@@ -279,8 +272,7 @@ uint8_t KindOf(const net::Envelope& env) {
   if (tag == "VmTransfer") return kKindVmTransfer;
   if (tag == "VmAck") return kKindVmAck;
   if (tag == "VmClosure") return kKindVmClosure;
-  if (tag == "CcNack") return kKindCcNack;
-  if (tag == "SurplusNack") return kKindSurplusNack;
+  if (tag == "GatherNack") return kKindGatherNack;
   if (tag == "SnapshotReq") return kKindSnapshotReq;
   if (tag == "SnapshotReply") return kKindSnapshotReply;
   return 0;
@@ -298,10 +290,8 @@ SiteId NamedSite(const net::Envelope& env) {
       return static_cast<const VmAckMsg&>(env).from;
     case kKindVmClosure:
       return static_cast<const VmClosureMsg&>(env).src;
-    case kKindCcNack:
-      return static_cast<const CcNackMsg&>(env).from;
-    case kKindSurplusNack:
-      return static_cast<const SurplusNackMsg&>(env).from;
+    case kKindGatherNack:
+      return static_cast<const GatherNackMsg&>(env).from;
     case kKindSnapshotReq:
       return static_cast<const SnapshotReqMsg&>(env).origin;
     case kKindSnapshotReply:
@@ -347,11 +337,8 @@ void EncodeEnvelopeTo(const net::Envelope& env, std::string* out) {
     case kKindVmClosure:
       EncodeVmClosure(out, static_cast<const VmClosureMsg&>(env));
       break;
-    case kKindCcNack:
-      EncodeCcNack(out, static_cast<const CcNackMsg&>(env));
-      break;
-    case kKindSurplusNack:
-      EncodeSurplusNack(out, static_cast<const SurplusNackMsg&>(env));
+    case kKindGatherNack:
+      EncodeGatherNack(out, static_cast<const GatherNackMsg&>(env));
       break;
     case kKindSnapshotReq:
       EncodeSnapshotReq(out, static_cast<const SnapshotReqMsg&>(env));
@@ -385,11 +372,8 @@ StatusOr<net::EnvelopePtr> DecodeEnvelope(std::string_view blob) {
     case kKindVmClosure:
       result = DecodeVmClosure(dec);
       break;
-    case kKindCcNack:
-      result = DecodeCcNack(dec);
-      break;
-    case kKindSurplusNack:
-      result = DecodeSurplusNack(dec);
+    case kKindGatherNack:
+      result = DecodeGatherNack(dec);
       break;
     case kKindSnapshotReq:
       result = DecodeSnapshotReq(dec);

@@ -14,9 +14,10 @@
 //                    Vm's death. Datagram; duplicates of the transfer are
 //                    re-acked, so a lost ack only delays cleanup.
 //
-// The rest are courtesy datagrams (closure, CC and surplus NACKs) and the
-// snapshot-read pair. Every kind here has exactly one byte encoding, the
-// packet codec's (packet_codec.h), and that encoding is also its price.
+// The rest are courtesy datagrams (the closure watermark and the gather
+// NACK) and the snapshot-read pair. Every kind here has exactly one byte
+// encoding, the packet codec's (packet_codec.h), and that encoding is also
+// its price.
 #pragma once
 
 #include <vector>
@@ -54,7 +55,8 @@ struct RequestMsg final : public Message {
   uint32_t round = 1;
   std::vector<RequestPart> parts;
   /// Set by surplus-directed origins: a recipient that cannot ship anything
-  /// answers with a SurplusNackMsg so the origin's hint cache self-corrects.
+  /// answers with a kEmpty GatherNackMsg so the origin's hint cache
+  /// self-corrects.
   bool want_surplus_nack = false;
   /// The requesting transaction is a multi-item atomic set: its parts gather
   /// several items under one timestamp. Advisory today (recipients count it
@@ -131,28 +133,28 @@ struct VmClosureMsg final : public Message {
   std::string_view Tag() const override { return "VmClosure"; }
 };
 
-/// Courtesy refusal when the Conc1 timestamp rule blocks a request: carries
-/// the refusing site's clock so the origin's Lamport counter catches up
-/// (§7's "bump-up" — without it, a site with a lagging clock could have its
-/// requests refused indefinitely). A retry of the transaction then carries a
-/// competitive timestamp. Purely an optimisation; losing it costs nothing.
-struct CcNackMsg final : public Message {
+/// Courtesy refusal of one part of a gather request: it tells the origin why
+/// the part was not honoured. One NACK per refused part; a datagram, purely
+/// advisory — losing one costs nothing the origin's retry timer does not
+/// already cover. Every NACK carries a clock the origin observes.
+///  * kCc    — the Conc1 timestamp rule refused the part. `ts_packed` is the
+///             larger of the refuser's clock and the stamp that beat the
+///             request, so the origin's Lamport counter catches up (§7's
+///             "bump-up") and its re-ask carries a competitive timestamp.
+///  * kEmpty — a surplus-directed part found nothing to ship (sent only when
+///             RequestMsg::want_surplus_nack is set): the origin zeroes its
+///             cached surplus for (from, item) instead of waiting for the
+///             hint to age out.
+/// A part refused because its fragment is locked gets no NACK (§5).
+struct GatherNackMsg final : public Message {
+  enum class Reason : uint8_t { kCc = 0, kEmpty = 1 };
+
   SiteId from;
+  Reason reason = Reason::kCc;
+  ItemId item;  ///< the refused part's item
   uint64_t ts_packed = 0;
 
-  std::string_view Tag() const override { return "CcNack"; }
-};
-
-/// Courtesy "nothing to ship" reply to a surplus-directed shortfall request
-/// (RequestMsg::want_surplus_nack): the origin zeroes its cached surplus for
-/// (from, item) instead of waiting for the hint to age out. Datagram, purely
-/// advisory — losing it costs at most one more misdirected request.
-struct SurplusNackMsg final : public Message {
-  SiteId from;
-  ItemId item;
-  uint64_t ts_packed = 0;
-
-  std::string_view Tag() const override { return "SurplusNack"; }
+  std::string_view Tag() const override { return "GatherNack"; }
 };
 
 /// One item's stamped entry in a snapshot reply: the replying site's resident

@@ -284,14 +284,8 @@ bool Site::OnEnvelope(SiteId from, net::EnvelopePtr payload) {
     return true;
   }
   if (const auto* nack =
-          dynamic_cast<const proto::CcNackMsg*>(payload.get())) {
-    clock_.Observe(Timestamp::FromPacked(nack->ts_packed));
-    metrics_.counter("req.nack_received")->Inc();
-    return true;
-  }
-  if (const auto* snack =
-          dynamic_cast<const proto::SurplusNackMsg*>(payload.get())) {
-    txn_->OnSurplusNack(from, *snack);
+          dynamic_cast<const proto::GatherNackMsg*>(payload.get())) {
+    txn_->OnNack(from, *nack);
     return true;
   }
   metrics_.counter("msg.unknown")->Inc();

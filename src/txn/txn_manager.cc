@@ -12,6 +12,16 @@
 namespace dvp::txn {
 
 namespace {
+/// Read re-ask pacing, both modes. A remote site silently ignores a full-read
+/// request while it still has outstanding Vm for the item, so the reader
+/// must poll (§5's optional request retry), and a snapshot round can lose
+/// requests or replies outright. Unless an open shortfall sets the pace, the
+/// retry timer's k-th firing waits
+/// Jittered(Interval(kReadRetryUs, kReadRetryMaxUs, k)): a capped exponential
+/// backoff (net::backoff), so a healthy cluster re-asks fast while a
+/// partitioned one stops hammering the wire.
+constexpr SimTime kReadRetryUs = 40'000;
+constexpr SimTime kReadRetryMaxUs = 320'000;
 /// Snapshot retry pacing: the first kSnapshotFastRounds unbalanced rounds
 /// re-ask immediately (an unbalanced certificate usually closes within a
 /// round-trip once the in-flight Vm land); further rounds ride the backoff
@@ -95,6 +105,7 @@ TxnManager::TxnManager(SiteId self, uint32_t num_sites, runtime::Runtime* rt,
       m_gather_directed_(obs::CounterIn(metrics, "placement.gather.directed")),
       m_gather_fallback_(obs::CounterIn(metrics, "placement.gather.fallback")),
       m_surplus_nack_(obs::CounterIn(metrics, "req.surplus_nack")),
+      m_nack_received_(obs::CounterIn(metrics, "req.nack_received")),
       m_multiop_committed_(obs::CounterIn(metrics, "txn.multiop.committed")),
       m_multiop_aborted_(obs::CounterIn(metrics, "txn.multiop.aborted")),
       m_multiop_return_(obs::CounterIn(metrics, "txn.multiop.return_sends")),
@@ -132,14 +143,11 @@ void TxnManager::NoteCommitted(const PendingTxn& t) {
   if (t.rounds == 0) m_local_commit_->Inc();
   if (t.spec.atomic_set) m_multiop_committed_->Inc();
   if (h_rounds_) h_rounds_->Add(static_cast<double>(t.rounds));
-  if (h_read_retry_ && !t.reads.empty()) {
-    h_read_retry_->Add(static_cast<double>(t.read_retry_attempts));
+  if (h_read_retry_ && (!t.reads.empty() || !t.snap.items.empty())) {
+    h_read_retry_->Add(static_cast<double>(t.retry_attempts));
   }
-  if (!t.snap.items.empty()) {
-    if (h_read_retry_) {
-      h_read_retry_->Add(static_cast<double>(t.snap.attempts));
-    }
-    if (h_snap_rounds_) h_snap_rounds_->Add(static_cast<double>(t.snap.round));
+  if (h_snap_rounds_ && !t.snap.items.empty()) {
+    h_snap_rounds_->Add(static_cast<double>(t.snap.round));
   }
 }
 
@@ -296,29 +304,19 @@ TxnId TxnManager::Begin(const TxnSpec& spec, TxnCallback cb) {
   PendingTxn& ref = *t;
   pending_.emplace(id, std::move(t));
 
-  if (parts.empty() && ref.shortfall.empty() &&
-      (ref.snap.items.empty() || ref.snap.done)) {
+  if (parts.empty() && !ReadOpen(ref)) {
     // Write-only / locally satisfiable fast path: no redistribution phase.
-    bool all_reads_done = true;
-    for (const auto& [item, rs] : ref.reads) {
-      (void)item;
-      if (!rs.done) all_reads_done = false;
-    }
-    if (all_reads_done) {
-      ScheduleCommit(ref);
-      return id;
-    }
+    ScheduleCommit(ref);
+    return id;
   }
 
   // §5 steps 2–3: dispatch requests and start the timeout counter.
   SendRequests(ref, parts, /*round=*/1);
   ref.rounds = 1;
-  ArmReadRetry(ref);
-  ArmGatherRetry(ref);
   if (!ref.snap.items.empty() && !ref.snap.done) {
     SendSnapshotRound(ref, /*only_stale=*/false);
-    ArmSnapshotRetry(ref);
   }
+  ArmRetry(ref);
   TxnId timeout_id = id;
   SimTime base_timeout = options_.timeout_us;
   if (spec.atomic_set && options_.multiop_timeout_us > 0) {
@@ -372,6 +370,17 @@ std::vector<SiteId> TxnManager::PickTargets() {
   return all;
 }
 
+std::shared_ptr<proto::RequestMsg> TxnManager::NewRequest(
+    TxnId txn, Timestamp ts, uint32_t round) const {
+  auto msg = net::MakeEnvelope<proto::RequestMsg>();
+  msg->txn = txn;
+  msg->ts_packed = ts.packed();
+  msg->origin = self_;
+  msg->round = round;
+  msg->trace_id = txn.value();
+  return msg;
+}
+
 void TxnManager::SendRequests(PendingTxn& t,
                               const std::vector<proto::RequestPart>& parts,
                               uint32_t round) {
@@ -383,13 +392,8 @@ void TxnManager::SendRequests(PendingTxn& t,
   }
 
   auto make_msg = [&]() {
-    auto msg = net::MakeEnvelope<proto::RequestMsg>();
-    msg->txn = t.id;
-    msg->ts_packed = t.ts.packed();
-    msg->origin = self_;
-    msg->round = round;
+    auto msg = NewRequest(t.id, t.ts, round);
     msg->atomic_set = t.spec.atomic_set;
-    msg->trace_id = t.id.value();
     return msg;
   };
 
@@ -411,7 +415,15 @@ void TxnManager::SendRequests(PendingTxn& t,
   // advertised they can actually cover it.
   std::map<SiteId, std::vector<proto::RequestPart>> per_dst;
   for (const proto::RequestPart& part : parts) {
-    if (part.read_all || part.amount <= 0) {
+    if (part.read_all) {
+      // A full-read round completes only once every other site has replied
+      // (HandleReadReply), so the fan-out never narrows a read.
+      for (uint32_t s = 0; s < num_sites_; ++s) {
+        if (s != self_.value()) per_dst[SiteId(s)].push_back(part);
+      }
+      continue;
+    }
+    if (part.amount <= 0) {
       for (SiteId dst : targets) per_dst[dst].push_back(part);
       continue;
     }
@@ -539,6 +551,17 @@ void TxnManager::OnRequest(SiteId from, const proto::RequestMsg& msg) {
   clock_->Observe(Timestamp::FromPacked(msg.ts_packed));
   Timestamp req_ts = Timestamp::FromPacked(msg.ts_packed);
   if (msg.atomic_set) m_req_multiop_->Inc();
+  // Refuses one part: a courtesy datagram carrying a clock.
+  auto nack = [&](proto::GatherNackMsg::Reason reason, ItemId item,
+                  Timestamp ts) {
+    auto m = net::MakeEnvelope<proto::GatherNackMsg>();
+    m->from = self_;
+    m->reason = reason;
+    m->item = item;
+    m->ts_packed = ts.packed();
+    m->trace_id = msg.trace_id;
+    transport_->SendDatagram(msg.origin, std::move(m));
+  };
 
   for (const proto::RequestPart& part : msg.parts) {
     m_req_received_->Inc();
@@ -557,14 +580,10 @@ void TxnManager::OnRequest(SiteId from, const proto::RequestMsg& msg) {
     if (policy_.scheme() == cc::CcScheme::kConc1 &&
         req_ts < store_->ts(part.item)) {
       m_req_ignored_cc_->Inc();
-      auto nack = net::MakeEnvelope<proto::CcNackMsg>();
-      nack->from = self_;
-      nack->trace_id = msg.trace_id;
       // Carry whichever is larger: our clock or the stamp that beat the
       // request -- the origin must exceed the *stamp* on its retry.
-      nack->ts_packed =
-          std::max(clock_->Peek(), store_->ts(part.item)).packed();
-      transport_->SendDatagram(msg.origin, std::move(nack));
+      nack(proto::GatherNackMsg::Reason::kCc, part.item,
+           std::max(clock_->Peek(), store_->ts(part.item)));
       continue;
     }
 
@@ -589,12 +608,8 @@ void TxnManager::OnRequest(SiteId from, const proto::RequestMsg& msg) {
         if (msg.want_surplus_nack) {
           // Tell the surplus-directed origin its hint was wrong so its cache
           // self-corrects now rather than when the hint ages out.
-          auto nack = net::MakeEnvelope<proto::SurplusNackMsg>();
-          nack->from = self_;
-          nack->item = part.item;
-          nack->ts_packed = clock_->Peek().packed();
-          nack->trace_id = msg.trace_id;
-          transport_->SendDatagram(msg.origin, std::move(nack));
+          nack(proto::GatherNackMsg::Reason::kEmpty, part.item,
+               clock_->Peek());
         }
         continue;
       }
@@ -605,8 +620,12 @@ void TxnManager::OnRequest(SiteId from, const proto::RequestMsg& msg) {
   }
 }
 
-void TxnManager::OnSurplusNack(SiteId from, const proto::SurplusNackMsg& msg) {
+void TxnManager::OnNack(SiteId from, const proto::GatherNackMsg& msg) {
   clock_->Observe(Timestamp::FromPacked(msg.ts_packed));
+  if (msg.reason == proto::GatherNackMsg::Reason::kCc) {
+    m_nack_received_->Inc();
+    return;
+  }
   m_surplus_nack_->Inc();
   if (placement_) placement_->NoteEmpty(from, msg.item);
 }
@@ -702,13 +721,8 @@ void TxnManager::HandleReadReply(PendingTxn& t,
 void TxnManager::SendReadRound(PendingTxn& t, ItemId item,
                                bool only_missing) {
   const ReadState& rs = t.reads.at(item);
-  auto msg = net::MakeEnvelope<proto::RequestMsg>();
-  msg->txn = t.id;
-  msg->ts_packed = t.ts.packed();
-  msg->origin = self_;
-  msg->round = rs.round;
+  auto msg = NewRequest(t.id, t.ts, rs.round);
   msg->parts = {{item, 0, true}};
-  msg->trace_id = t.id.value();
   m_req_sent_->Inc();
   if (policy_.BroadcastRequests()) {
     m_req_msgs_->Inc(num_sites_ - 1);
@@ -723,34 +737,70 @@ void TxnManager::SendReadRound(PendingTxn& t, ItemId item,
   }
 }
 
-void TxnManager::ArmReadRetry(PendingTxn& t) {
-  bool any_open = false;
+bool TxnManager::ReadOpen(const PendingTxn& t) {
+  if (!t.snap.items.empty() && !t.snap.done) return true;
   for (const auto& [item, rs] : t.reads) {
     (void)item;
-    if (!rs.done) any_open = true;
+    if (!rs.done) return true;
   }
-  if (!any_open) return;
+  return false;
+}
+
+void TxnManager::ArmRetry(PendingTxn& t) {
+  bool gathering = options_.gather_retry_us > 0 && !t.shortfall.empty();
+  if (!gathering && !ReadOpen(t)) return;
+  SimTime delay = options_.gather_retry_us;
+  if (!gathering) {
+    // Capped exponential backoff with deterministic jitter instead of a
+    // fixed poll: a healthy round re-asks quickly, a partitioned one stops
+    // hammering the wire, and readers on different sites (or different
+    // transactions on one site) spread out instead of firing in lockstep.
+    uint64_t salt = (uint64_t{self_.value()} << 40) ^ (t.id.value() << 1) ^
+                    t.retry_attempts;
+    delay = net::backoff::Jittered(
+        net::backoff::Interval(kReadRetryUs, kReadRetryMaxUs,
+                               t.retry_attempts),
+        kReadRetryMaxUs, salt);
+  }
   TxnId id = t.id;
-  // Capped exponential backoff with deterministic jitter instead of the old
-  // fixed 40 ms poll: a healthy round re-asks quickly, a partitioned one
-  // stops hammering the wire, and readers on different sites (or different
-  // transactions on one site) spread out instead of firing in lockstep.
-  uint64_t salt = (uint64_t{self_.value()} << 40) ^ (id.value() << 1) ^
-                  t.read_retry_attempts;
-  SimTime delay = net::backoff::Jittered(
-      net::backoff::Interval(options_.read_retry_us, options_.read_retry_max_us,
-                             t.read_retry_attempts),
-      options_.read_retry_max_us, salt);
-  t.read_retry = rt_->Schedule(delay, [this, id]() {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    PendingTxn& t = *it->second;
-    ++t.read_retry_attempts;
-    for (auto& [item, rs] : t.reads) {
-      if (!rs.done) SendReadRound(t, item, /*only_missing=*/true);
+  t.retry = rt_->Schedule(delay, [this, id]() { OnRetry(id); });
+}
+
+void TxnManager::OnRetry(TxnId id) {
+  auto it = pending_.find(id);
+  if (it == pending_.end()) return;
+  PendingTxn& t = *it->second;
+  ++t.retry_attempts;
+  if (options_.gather_retry_us > 0 && !t.shortfall.empty()) {
+    // A CC-refused round is not a death sentence: the kCc NACK bumped this
+    // site's clock past the refusing fragment's stamp, so re-issue the
+    // still-missing asks under a fresh timestamp. Sound for the Conc1 gate —
+    // the local locks were granted under an older ts and raising it
+    // preserves every MayLock comparison; the commit record stamps fragments
+    // with the final (freshest) ts.
+    t.ts = clock_->Next();
+    if (policy_.StampOnLock()) {
+      for (ItemId item : t.items) store_->SetTs(item, t.ts);
     }
-    ArmReadRetry(t);
-  });
+    // Re-request only what is still missing, against freshly ranked (or
+    // freshly drawn) targets — the previous round's grants and NACK feedback
+    // have already reshaped the ask.
+    std::vector<proto::RequestPart> parts;
+    for (const auto& [item, amount] : t.shortfall) {
+      parts.push_back({item, amount, false});
+    }
+    ++t.rounds;
+    SendRequests(t, parts, t.rounds);
+  }
+  for (auto& [item, rs] : t.reads) {
+    if (!rs.done) SendReadRound(t, item, /*only_missing=*/true);
+  }
+  if (!t.snap.items.empty() && !t.snap.done) {
+    // Only the sites whose latest reply predates the current round —
+    // balanced sites' entries are already usable as-is.
+    SendSnapshotRound(t, /*only_stale=*/true);
+  }
+  ArmRetry(t);
 }
 
 void TxnManager::OnSnapshotReq(SiteId from, const proto::SnapshotReqMsg& msg) {
@@ -857,7 +907,6 @@ void TxnManager::TryCompleteSnapshot(PendingTxn& t) {
     if (!balanced) m_snap_cut_forced_->Inc();
     s.totals = std::move(totals);
     s.done = true;
-    t.snap_retry.Cancel();
     Reevaluate(t);
     return;
   }
@@ -875,7 +924,7 @@ void TxnManager::TryCompleteSnapshot(PendingTxn& t) {
     // The in-flight value usually lands within a round-trip; re-ask now.
     SendSnapshotRound(t, /*only_stale=*/false);
   }
-  // Beyond the fast rounds the armed backoff timer paces the re-asks.
+  // Beyond the fast rounds the retry timer paces the re-asks.
 }
 
 void TxnManager::SendSnapshotRound(PendingTxn& t, bool only_stale) {
@@ -898,59 +947,6 @@ void TxnManager::SendSnapshotRound(PendingTxn& t, bool only_stale) {
   }
 }
 
-void TxnManager::ArmSnapshotRetry(PendingTxn& t) {
-  if (t.snap.items.empty() || t.snap.done) return;
-  TxnId id = t.id;
-  uint64_t salt =
-      (uint64_t{self_.value()} << 40) ^ (id.value() << 1) ^ t.snap.attempts;
-  SimTime delay = net::backoff::Jittered(
-      net::backoff::Interval(options_.read_retry_us, options_.read_retry_max_us,
-                             t.snap.attempts),
-      options_.read_retry_max_us, salt);
-  t.snap_retry = rt_->Schedule(delay, [this, id]() {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    PendingTxn& t = *it->second;
-    if (t.snap.done) return;
-    ++t.snap.attempts;
-    // Retry only the sites whose latest reply predates the current round —
-    // balanced sites' entries are already usable as-is.
-    SendSnapshotRound(t, /*only_stale=*/true);
-    ArmSnapshotRetry(t);
-  });
-}
-
-void TxnManager::ArmGatherRetry(PendingTxn& t) {
-  if (options_.gather_retry_us <= 0 || t.shortfall.empty()) return;
-  TxnId id = t.id;
-  t.gather_retry = rt_->Schedule(options_.gather_retry_us, [this, id]() {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    PendingTxn& t = *it->second;
-    if (t.commit_scheduled || t.shortfall.empty()) return;
-    // A CC-refused round is not a death sentence: the CcNack bumped this
-    // site's clock past the refusing fragment's stamp, so re-issue the
-    // still-missing asks under a fresh timestamp. Sound for the Conc1 gate —
-    // the local locks were granted under an older ts and raising it
-    // preserves every MayLock comparison; the commit record stamps fragments
-    // with the final (freshest) ts.
-    t.ts = clock_->Next();
-    if (policy_.StampOnLock()) {
-      for (ItemId item : t.items) store_->SetTs(item, t.ts);
-    }
-    // Re-request only what is still missing, against freshly ranked (or
-    // freshly drawn) targets — the previous round's grants and NACK feedback
-    // have already reshaped the ask.
-    std::vector<proto::RequestPart> parts;
-    for (const auto& [item, amount] : t.shortfall) {
-      parts.push_back({item, amount, false});
-    }
-    ++t.rounds;
-    SendRequests(t, parts, t.rounds);
-    ArmGatherRetry(t);
-  });
-}
-
 void TxnManager::Reevaluate(PendingTxn& t) {
   // Re-check decrement shortfalls against the (possibly grown) fragments.
   for (auto it = t.shortfall.begin(); it != t.shortfall.end();) {
@@ -970,12 +966,7 @@ void TxnManager::Reevaluate(PendingTxn& t) {
       ++it;
     }
   }
-  if (!t.shortfall.empty()) return;
-  for (const auto& [item, rs] : t.reads) {
-    (void)item;
-    if (!rs.done) return;
-  }
-  if (!t.snap.items.empty() && !t.snap.done) return;
+  if (!t.shortfall.empty() || ReadOpen(t)) return;
   ScheduleCommit(t);
 }
 
@@ -989,9 +980,7 @@ void TxnManager::ScheduleCommit(PendingTxn& t) {
   // The gather succeeded: the timeout counter is disarmed and the remaining
   // work is purely local (§5 step 4) — by construction it cannot block.
   t.timeout.Cancel();
-  t.read_retry.Cancel();
-  t.gather_retry.Cancel();
-  t.snap_retry.Cancel();
+  t.retry.Cancel();
   if (options_.local_compute_us <= 0) {
     Commit(t);
     return;
@@ -1088,9 +1077,7 @@ void TxnManager::Abort(PendingTxn& t, TxnOutcome outcome,
   // concept of rollbacks").
   locks_->ReleaseAll(t.id);
   t.timeout.Cancel();
-  t.read_retry.Cancel();
-  t.gather_retry.Cancel();
-  t.snap_retry.Cancel();
+  t.retry.Cancel();
 
   // A multi-op that gathered part of its item set returns every partial
   // gather to its source as an ordinary Rds send — still conservation-
@@ -1133,14 +1120,9 @@ void TxnManager::Finish(PendingTxn& t, TxnResult result) {
 
 void TxnManager::Prefetch(ItemId item, core::Value amount) {
   if (amount <= 0 || item.value() >= store_->num_items()) return;
-  auto msg = net::MakeEnvelope<proto::RequestMsg>();
   Timestamp ts = clock_->Next();
-  msg->txn = TxnId(ts.packed());
-  msg->ts_packed = ts.packed();
-  msg->origin = self_;
-  msg->round = 1;
+  auto msg = NewRequest(TxnId(ts.packed()), ts, /*round=*/1);
   msg->parts = {{item, amount, false}};
-  msg->trace_id = ts.packed();
   m_req_prefetch_->Inc();
   if (policy_.BroadcastRequests()) {
     transport_->Broadcast(std::move(msg));
@@ -1179,9 +1161,7 @@ void TxnManager::CrashAbortAll() {
   pending_.clear();
   for (auto& t : doomed) {
     t->timeout.Cancel();
-    t->read_retry.Cancel();
-    t->gather_retry.Cancel();
-    t->snap_retry.Cancel();
+    t->retry.Cancel();
     TxnResult result;
     result.id = t->id;
     if (t->committed) {

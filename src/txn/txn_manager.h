@@ -2,6 +2,8 @@
 // of §5 (lock → request → await/timeout → compute → force commit record →
 // apply → unlock), the write-only fast path, the remote request handler (the
 // implicit Rds transactions of §6), and the iterative full-read drain.
+// Each pending transaction has one retry timer, its round driver: every
+// re-ask of a gather, a full read or a snapshot read is scheduled there.
 //
 // Non-blocking by construction: every submitted transaction reaches a
 // commit/abort decision within max(local work, timeout) — no step ever waits
@@ -56,19 +58,10 @@ struct TxnManagerOptions {
   /// §5 step 3: redistribution replies must arrive within this window or the
   /// transaction aborts.
   SimTime timeout_us = 300'000;
-  /// Read retries (both modes) re-send their (non-critical, datagram)
-  /// requests until every site has answered — a remote site silently ignores
-  /// a full-read request while it still has outstanding Vm for the item, so
-  /// the reader must poll (§5's optional request retry), and a snapshot
-  /// round can lose requests or replies outright. This is the BASE interval
-  /// of a capped exponential backoff (net::backoff): attempt k waits
-  /// Jittered(Interval(read_retry_us, read_retry_max_us, k)), so a healthy
-  /// cluster retries fast while a partitioned one stops hammering the wire.
-  SimTime read_retry_us = 40'000;
-  /// Cap of the read-retry backoff (see read_retry_us).
-  SimTime read_retry_max_us = 320'000;
   cc::CcScheme scheme = cc::CcScheme::kConc1;
   /// How many remote sites receive a shortfall request; 0 = all other sites.
+  /// A full read always asks every other site: its rounds complete only once
+  /// all of them have replied.
   uint32_t request_fanout = 0;
   /// When true, the shortfall is divided across the fan-out targets instead
   /// of asking each for the full amount (less over-shipping, more aborts
@@ -81,6 +74,8 @@ struct TxnManagerOptions {
   /// Paced re-request rounds for a gather still short after the first round:
   /// every interval the *remaining* shortfall is re-sent to freshly chosen
   /// targets until the timeout decides. 0 = single round (seed behavior).
+  /// While a shortfall is open this interval also paces the transaction's
+  /// read re-asks: one retry timer serves all of its open work.
   SimTime gather_retry_us = 0;
   /// Simulated local computation between "all values gathered" and the
   /// commit-record force (§5 step 4→5). Locks stay held, so this is the
@@ -127,9 +122,12 @@ class TxnManager {
   /// balance certificate and completes or opens another round.
   void OnSnapshotReply(SiteId from, const proto::SnapshotReplyMsg& msg);
 
-  /// "Nothing to ship" feedback for a surplus-directed request: zeroes the
-  /// placement cache entry for (from, item) so the next gather redirects.
-  void OnSurplusNack(SiteId from, const proto::SurplusNackMsg& msg);
+  /// Refusal of one part of this site's gather request. Every reason bumps
+  /// the Lamport clock. A kCc refusal is counted (req.nack_received); the
+  /// next re-ask carries a fresh, competitive timestamp. A kEmpty refusal
+  /// (req.surplus_nack) zeroes the placement cache entry for (from, item) so
+  /// the next gather redirects.
+  void OnNack(SiteId from, const proto::GatherNackMsg& msg);
 
   /// Routes an incoming Vm transfer. Returns true if a pending transaction
   /// holding the item's lock absorbed it; otherwise the caller should fall
@@ -198,8 +196,6 @@ class TxnManager {
   struct SnapState {
     std::vector<ItemId> items;
     uint32_t round = 1;
-    /// Backoff exponent for paced retry rounds (see read_retry_us).
-    uint32_t attempts = 0;
     struct Reply {
       uint32_t round = 0;
       std::vector<proto::SnapshotEntry> entries;
@@ -221,14 +217,12 @@ class TxnManager {
     std::map<ItemId, ReadState> reads;
     SnapState snap;
     runtime::TimerHandle timeout;
-    runtime::TimerHandle read_retry;
-    runtime::TimerHandle gather_retry;
-    runtime::TimerHandle snap_retry;
+    runtime::TimerHandle retry;  ///< the one retry timer (see ArmRetry)
     TxnCallback cb;
     SimTime start_time = 0;
     uint32_t rounds = 0;
-    /// Read-retry timer firings (the backoff exponent for full reads).
-    uint32_t read_retry_attempts = 0;
+    /// Retry-timer firings: the read backoff exponent.
+    uint32_t retry_attempts = 0;
     bool committed = false;
     bool commit_scheduled = false;
     /// Value this transaction absorbed mid-gather, per (src, item) — tracked
@@ -237,6 +231,9 @@ class TxnManager {
     std::vector<AbsorbedCredit> absorbed;
   };
 
+  /// A request on behalf of transaction `txn`, stamped `ts`, with no parts.
+  std::shared_ptr<proto::RequestMsg> NewRequest(TxnId txn, Timestamp ts,
+                                                uint32_t round) const;
   void SendRequests(PendingTxn& t,
                     const std::vector<proto::RequestPart>& parts,
                     uint32_t round);
@@ -247,15 +244,23 @@ class TxnManager {
   void Finish(PendingTxn& t, TxnResult result);
   void HandleReadReply(PendingTxn& t, const proto::VmTransferMsg& msg);
   void SendReadRound(PendingTxn& t, ItemId item, bool only_missing);
-  void ArmReadRetry(PendingTxn& t);
-  void ArmGatherRetry(PendingTxn& t);
+  /// True while a full read or the snapshot read of `t` is not yet done.
+  static bool ReadOpen(const PendingTxn& t);
+  /// The transaction's round driver. Arms the retry timer while any work is
+  /// open: a shortfall (when gather_retry_us > 0), a full read or a snapshot
+  /// read. While a shortfall is open the timer runs at gather_retry_us;
+  /// otherwise at the jittered read backoff on retry_attempts.
+  void ArmRetry(PendingTxn& t);
+  /// The retry timer fired: re-ask the remaining shortfall under a fresh
+  /// timestamp, then the missing replies of every open read (both modes),
+  /// then re-arm.
+  void OnRetry(TxnId id);
   /// Sends the current snapshot round's request. `only_stale` (the retry
   /// path) re-asks only sites whose latest reply predates the round.
   void SendSnapshotRound(PendingTxn& t, bool only_stale);
   /// Evaluates the balance certificate over the latest-reply-per-site set
   /// plus a fresh local capture; completes the read or advances the round.
   void TryCompleteSnapshot(PendingTxn& t);
-  void ArmSnapshotRetry(PendingTxn& t);
   std::vector<SiteId> PickTargets();
   /// Counter for a final verdict (txn.committed / txn.abort.*), and the
   /// closing edge of the transaction's trace span.
@@ -298,6 +303,7 @@ class TxnManager {
   obs::Counter* m_gather_directed_;
   obs::Counter* m_gather_fallback_;
   obs::Counter* m_surplus_nack_;
+  obs::Counter* m_nack_received_;
   /// Multi-item atomic-set counters. They only move on multiop code paths,
   /// so workloads without atomic sets keep byte-identical counter sets.
   obs::Counter* m_multiop_committed_;
@@ -317,8 +323,8 @@ class TxnManager {
   Histogram* h_rounds_ = nullptr;
   /// Snapshot rounds per completed snapshot read (≈1 at quiescence).
   Histogram* h_snap_rounds_ = nullptr;
-  /// Retry-timer firings per read, both modes — the backoff observability
-  /// the fixed 40 ms poll never had.
+  /// Retry-timer firings per committed read transaction, both modes — the
+  /// backoff observability the fixed 40 ms poll never had.
   Histogram* h_read_retry_ = nullptr;
 
   std::map<TxnId, std::unique_ptr<PendingTxn>> pending_;

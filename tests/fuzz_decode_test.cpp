@@ -428,7 +428,7 @@ net::Packet RandomPacket(Rng& rng) {
         rng.NextInt(-1'000'000, 1'000'000),
         rng.NextInt(-1'000'000, 1'000'000), rng.NextU64() >> 1});
   }
-  switch (rng.NextBounded(5)) {
+  switch (rng.NextBounded(6)) {
     case 0:
       break;  // pure ack: no payload
     case 1: {
@@ -473,6 +473,16 @@ net::Packet RandomPacket(Rng& rng) {
     case 4: {
       auto m = net::MakeEnvelope<proto::SnapshotReplyMsg>();
       *m = RandomReply(rng);
+      p.payload = std::move(m);
+      break;
+    }
+    case 5: {
+      auto m = net::MakeEnvelope<proto::GatherNackMsg>();
+      m->from = SiteId(uint32_t(rng.NextBounded(64)));
+      m->reason = rng.NextBool(0.5) ? proto::GatherNackMsg::Reason::kCc
+                                    : proto::GatherNackMsg::Reason::kEmpty;
+      m->item = ItemId(uint32_t(rng.NextBounded(1 << 20)));
+      m->ts_packed = rng.NextU64() >> 1;
       p.payload = std::move(m);
       break;
     }
@@ -605,14 +615,9 @@ TEST(PacketCodecAppendTest, AllEnvelopeKindsEncodeIdenticallyViaAppendApis) {
     payloads.push_back(std::move(m));
   }
   {
-    auto m = net::MakeEnvelope<proto::CcNackMsg>();
-    m->from = SiteId(2);
-    m->ts_packed = 5'003;
-    payloads.push_back(std::move(m));
-  }
-  {
-    auto m = net::MakeEnvelope<proto::SurplusNackMsg>();
+    auto m = net::MakeEnvelope<proto::GatherNackMsg>();
     m->from = SiteId(1);
+    m->reason = proto::GatherNackMsg::Reason::kEmpty;
     m->item = ItemId(7);
     m->ts_packed = 5'004;
     payloads.push_back(std::move(m));
@@ -627,7 +632,7 @@ TEST(PacketCodecAppendTest, AllEnvelopeKindsEncodeIdenticallyViaAppendApis) {
     *m = RandomReply(rng);
     payloads.push_back(std::move(m));
   }
-  ASSERT_EQ(payloads.size(), 8u);
+  ASSERT_EQ(payloads.size(), 7u);
 
   for (size_t k = 0; k < payloads.size(); ++k) {
     net::Packet p;
@@ -681,6 +686,73 @@ TEST(PacketCodecIdTest, IdsWiderThanTheirTypeAreRejected) {
   EXPECT_FALSE(proto::DecodeEnvelope(ack_from(uint64_t{1} << 32)).ok());
   EXPECT_FALSE(proto::DecodePacket(FrameAround(ack_from(uint64_t{1} << 32)))
                    .ok());
+}
+
+// The one refusal kind: both reasons round-trip field for field, and the
+// decoder rejects what no encoder writes — a reason outside the enum, and
+// kind byte 6, retired when the surplus NACK became a GatherNack reason.
+TEST(GatherNackCodecTest, BothReasonsRoundTrip) {
+  for (auto reason : {proto::GatherNackMsg::Reason::kCc,
+                      proto::GatherNackMsg::Reason::kEmpty}) {
+    proto::GatherNackMsg m;
+    m.from = SiteId(3);
+    m.reason = reason;
+    m.item = ItemId(123'456);
+    m.ts_packed = uint64_t{1} << 50;
+    m.trace_id = 99;
+    const std::string blob = proto::EncodeEnvelope(m);
+    ASSERT_EQ(blob[0], '\x05');
+    auto decoded = proto::DecodeEnvelope(blob);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const auto& out = static_cast<const proto::GatherNackMsg&>(**decoded);
+    EXPECT_EQ(out.Tag(), "GatherNack");
+    EXPECT_EQ(out.from, m.from);
+    EXPECT_EQ(out.reason, reason);
+    EXPECT_EQ(out.item, m.item);
+    EXPECT_EQ(out.ts_packed, m.ts_packed);
+    EXPECT_EQ(out.trace_id, 99u);
+    for (size_t cut = 0; cut < blob.size(); ++cut) {
+      EXPECT_FALSE(proto::DecodeEnvelope(blob.substr(0, cut)).ok());
+    }
+  }
+}
+
+std::string GatherNackBlob(char kind, uint64_t reason) {
+  std::string blob(1, kind);
+  PutVarint64(&blob, 0);  // trace id
+  PutVarint64(&blob, 2);  // from
+  PutVarint64(&blob, reason);
+  PutVarint64(&blob, 7);  // item
+  PutVarint64(&blob, 9);  // ts
+  return blob;
+}
+
+TEST(GatherNackCodecTest, UnknownReasonIsRejected) {
+  ASSERT_TRUE(proto::DecodeEnvelope(GatherNackBlob('\x05', 1)).ok());
+  for (uint64_t reason : {uint64_t{2}, uint64_t{3}, uint64_t{255}}) {
+    auto decoded = proto::DecodeEnvelope(GatherNackBlob('\x05', reason));
+    ASSERT_FALSE(decoded.ok()) << "reason " << reason;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_FALSE(
+        proto::DecodePacket(FrameAround(GatherNackBlob('\x05', reason)))
+            .ok());
+  }
+}
+
+TEST(GatherNackCodecTest, RetiredKindSixIsRejected) {
+  // The old surplus NACK's layout (from, item, ts) behind byte 6, and a
+  // GatherNack body behind it: neither decodes.
+  std::string legacy(1, '\x06');
+  PutVarint64(&legacy, 0);  // trace id
+  PutVarint64(&legacy, 2);  // from
+  PutVarint64(&legacy, 7);  // item
+  PutVarint64(&legacy, 9);  // ts
+  for (const std::string& blob : {legacy, GatherNackBlob('\x06', 1)}) {
+    auto decoded = proto::DecodeEnvelope(blob);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_FALSE(proto::DecodePacket(FrameAround(blob)).ok());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PacketCodecFuzzTest,

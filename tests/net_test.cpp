@@ -332,15 +332,11 @@ TEST(WireBytesTest, ProtoEnvelopePriceIsItsCodecLength) {
     m->closed_below = 1'000'000;
     msgs.push_back(std::move(m));
   }
-  {
-    auto m = std::make_shared<proto::CcNackMsg>();
+  for (auto reason : {proto::GatherNackMsg::Reason::kCc,
+                      proto::GatherNackMsg::Reason::kEmpty}) {
+    auto m = std::make_shared<proto::GatherNackMsg>();
     m->from = SiteId(2);
-    m->ts_packed = uint64_t{1} << 50;
-    msgs.push_back(std::move(m));
-  }
-  {
-    auto m = std::make_shared<proto::SurplusNackMsg>();
-    m->from = SiteId(2);
+    m->reason = reason;
     m->item = ItemId(123'456);
     m->ts_packed = uint64_t{1} << 50;
     msgs.push_back(std::move(m));
@@ -357,7 +353,7 @@ TEST(WireBytesTest, ProtoEnvelopePriceIsItsCodecLength) {
     EXPECT_EQ((*decoded)->WireSize(), blob.size()) << m->Tag();
     kinds.insert(m->Tag());
   }
-  EXPECT_EQ(kinds.size(), 8u);  // every kind the codec knows
+  EXPECT_EQ(kinds.size(), 7u);  // every kind the codec knows
 }
 
 // The multi-op flag rides bit 1 of the SAME flags byte as want_surplus_nack

@@ -79,6 +79,25 @@ TEST_F(ReadProtocolTest, QuiescentReadIsExact) {
   EXPECT_GE(r.rounds, 2u);
 }
 
+// A full-read round completes only once every other site has replied, so the
+// shortfall fan-out must not narrow a read: with fan-out 1 the first round
+// used to reach one site, and the read idled until the retry timer re-asked
+// the rest, at least one 40 ms base interval later. The first read drains
+// the item to the reader; the second, on a quiescent item, needs no re-ask.
+TEST_F(ReadProtocolTest, NarrowFanoutReadReachesEverySite) {
+  system::ClusterOptions opts;
+  opts.site.txn.request_fanout = 1;
+  opts.site.txn.targeting = txn::TargetPolicy::kRandom;
+  Build(opts);
+  TxnSpec read;
+  read.ops = {TxnOp::ReadFull(item_)};
+  ASSERT_EQ(SubmitAndRun(SiteId(2), read).outcome, TxnOutcome::kCommitted);
+  TxnResult r = SubmitAndRun(SiteId(2), read);
+  ASSERT_EQ(r.outcome, TxnOutcome::kCommitted) << r.status.ToString();
+  EXPECT_EQ(r.read_values.at(item_), 400);
+  EXPECT_LT(r.latency_us, 40'000);
+}
+
 TEST_F(ReadProtocolTest, BackToBackReadsBothExact) {
   Build({});
   TxnSpec read;

@@ -420,8 +420,10 @@ TEST(PacketCodecTest, RoundTripsACoalescedFrameWithAcksAndHints) {
   transfer->closed_below = 8999;
   transfer->trace_id = 1234;
   p.payload = std::move(transfer);
-  auto rider = net::MakeEnvelope<proto::CcNackMsg>();
+  auto rider = net::MakeEnvelope<proto::GatherNackMsg>();
   rider->from = SiteId(2);
+  rider->reason = proto::GatherNackMsg::Reason::kCc;
+  rider->item = ItemId(5);
   rider->ts_packed = 31337;
   p.extra.push_back(
       net::SubMsg{net::Reliability::kDatagram, MsgSeq(0), std::move(rider)});
@@ -448,7 +450,10 @@ TEST(PacketCodecTest, RoundTripsACoalescedFrameWithAcksAndHints) {
   EXPECT_EQ(out->closed_below, 8999u);
   EXPECT_EQ(out->trace_id, 1234u);
   ASSERT_EQ(rt->extra.size(), 1u);
-  auto* nack = static_cast<const proto::CcNackMsg*>(rt->extra[0].payload.get());
+  auto* nack =
+      static_cast<const proto::GatherNackMsg*>(rt->extra[0].payload.get());
+  EXPECT_EQ(nack->reason, proto::GatherNackMsg::Reason::kCc);
+  EXPECT_EQ(nack->item, ItemId(5));
   EXPECT_EQ(nack->ts_packed, 31337u);
 
   // Defensive decode: flip a byte anywhere and the checksum rejects it.

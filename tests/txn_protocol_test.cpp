@@ -163,8 +163,8 @@ TEST_F(TxnProtocolTest, MultiItemShortfallGathersBoth) {
 // the Conc1 gate, because every stamp on a local fragment was either issued
 // by the local clock or accompanied by an Observe of the stamping timestamp.
 // Conc1's conservatism therefore bites only at the remote-honor gate, where
-// a requester with a lagging clock is refused — and the CcNack carries the
-// refuser's clock so a retry succeeds (§7's "bump-up").
+// a requester with a lagging clock is refused — and the kCc GatherNack
+// carries the refuser's clock so a retry succeeds (§7's "bump-up").
 TEST_F(TxnProtocolTest, Conc1StaleRequesterRefusedThenNackEnablesRetry) {
   Build({});
   // Artificially age every remote fragment's lock timestamp far beyond
@@ -235,6 +235,36 @@ TEST_F(TxnProtocolTest, FanoutOneStillGathersFromSingleTarget) {
   TxnResult r = SubmitAndRun(SiteId(0), need);
   EXPECT_EQ(r.outcome, TxnOutcome::kCommitted);
   EXPECT_LE(cluster_->AggregateCounters().Get("req.msgs"), 2u);
+}
+
+// One retry timer serves every kind of open work. A decrement short of its
+// local fragment, a full read and a snapshot read share one transaction on
+// lossy links: the timer runs at gather_retry_us while the shortfall is open
+// and re-asks the reads' missing replies on the same firings. Both reads
+// still return their item's exact total.
+TEST_F(TxnProtocolTest, MixedKindSpecSharesOneRetryTimer) {
+  system::ClusterOptions opts;
+  opts.site.txn.gather_retry_us = 5'000;
+  opts.link.loss_prob = 0.01;
+  catalog_ = std::make_unique<core::Catalog>();
+  ItemId stock = catalog_->AddItem("stock", CountDomain::Instance(), 400);
+  ItemId full = catalog_->AddItem("full", CountDomain::Instance(), 800);
+  ItemId snap = catalog_->AddItem("snap", CountDomain::Instance(), 1200);
+  cluster_ = std::make_unique<system::Cluster>(catalog_.get(), opts);
+  cluster_->BootstrapEven();
+
+  TxnSpec spec;
+  spec.ops = {TxnOp::Decrement(stock, 150), TxnOp::ReadFull(full),
+              TxnOp::ReadSnapshot(snap)};
+  TxnResult r = SubmitAndRun(SiteId(2), spec);
+  ASSERT_EQ(r.outcome, TxnOutcome::kCommitted) << r.status.ToString();
+  EXPECT_EQ(r.read_values.at(full), 800);
+  EXPECT_EQ(r.read_values.at(snap), 1200);
+  EXPECT_GE(r.rounds, 2u);
+  EXPECT_EQ(cluster_->TotalOf(stock), 250);
+  EXPECT_EQ(cluster_->site(SiteId(2)).LocalValue(full), 800);
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+  EXPECT_TRUE(cluster_->AuditAllVolatile().ok());
 }
 
 TEST_F(TxnProtocolTest, DivideShortfallSpreadsTheAsk) {
