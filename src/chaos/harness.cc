@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <string>
 
+#include "chaos/oracles.h"
 #include "common/rng.h"
 #include "dvpcore/catalog.h"
 #include "system/cluster.h"
+#include "verify/conservation.h"
 #include "verify/serializability.h"
 #include "vm/vm_manager.h"
 #include "wal/record.h"
@@ -394,7 +396,7 @@ RunResult RunCase(const ChaosCase& c, const RunOptions& opts) {
   }
   auto run_oracles = [&](const char* where) {
     if (!result.ok) return;
-    Status s = CheckInvariants(cluster, opts.oracles);
+    Status s = CheckInvariants(cluster);
     if (!s.ok()) {
       Fail(&result, cluster.Now(), std::string(where) + ": " + s.message());
       trace(std::string("ORACLE VIOLATION (") + where + "): " + s.message());
@@ -455,9 +457,10 @@ RunResult RunCase(const ChaosCase& c, const RunOptions& opts) {
       Fail(&result, cluster.Now(), "snapshot cut oracle: " + s.message());
     }
   }
+  verify::LogLedger ledger(cluster.Storages(), &catalog);
   if (result.ok && opts.finalize) {
     for (ItemId item : items) {
-      auto b = cluster.Audit(item);
+      const verify::ConservationBreakdown& b = ledger.Breakdown(item);
       if (b.in_flight != 0) {
         Fail(&result, cluster.Now(),
              "liveness: item " + item.ToString() + " retains " +
@@ -479,7 +482,7 @@ RunResult RunCase(const ChaosCase& c, const RunOptions& opts) {
   h = Fnv1a(h, result.events_executed);
   h = Fnv1a(h, result.ok ? 1 : 0);
   for (ItemId item : items) {
-    auto b = cluster.Audit(item);
+    const verify::ConservationBreakdown& b = ledger.Breakdown(item);
     h = Fnv1a(h, static_cast<uint64_t>(b.site_total));
     h = Fnv1a(h, static_cast<uint64_t>(b.in_flight));
     h = Fnv1a(h, static_cast<uint64_t>(b.committed_delta));

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "chaos/fault_plan.h"
-#include "chaos/oracles.h"
 #include "common/types.h"
 
 namespace dvp::obs {
@@ -95,7 +94,6 @@ struct ChaosCase {
 };
 
 struct RunOptions {
-  OracleOptions oracles;
   uint32_t probes = 4;            ///< mid-flight oracle instants
   /// After the plan and workload end: heal, recover everyone, clear link
   /// faults, and require in-flight value to drain to zero.

@@ -1,97 +1,84 @@
 #include "chaos/oracles.h"
 
+#include <algorithm>
 #include <cstring>
-#include <map>
-#include <variant>
 #include <vector>
 
 #include "dvpcore/value_store.h"
 #include "obs/trace.h"
 #include "recovery/recovery.h"
-#include "verify/conservation.h"
 #include "vm/vm_manager.h"
-#include "wal/record.h"
 
 namespace dvp::chaos {
 
 namespace {
 
-struct VmLedger {
-  uint64_t creates = 0;
-  uint64_t accepts = 0;
-  uint64_t acks = 0;
-  ItemId created_item;
-  int64_t created_amount = 0;
-  ItemId accepted_item;
-  int64_t accepted_amount = 0;
-};
+/// WAL-prefix audit is O(suffix²); beyond this many suffix records the
+/// prefixes are strided instead of exhaustive.
+constexpr uint64_t kWalPrefixExhaustiveLimit = 400;
+
+using VmRow = std::pair<const VmId, verify::VmEntry>;
+
+/// The ledger's Vm entries in VmId order, so verdicts and explanations do not
+/// depend on its hash order.
+std::vector<const VmRow*> SortedVms(const verify::LogLedger& ledger) {
+  std::vector<const VmRow*> rows;
+  rows.reserve(ledger.vms().size());
+  for (const VmRow& row : ledger.vms()) rows.push_back(&row);
+  std::ranges::sort(rows, {}, [](const VmRow* row) { return row->first; });
+  return rows;
+}
+
+/// The exactly-once verdict on one Vm; empty when it holds.
+std::string ExactlyOnceViolation(VmId vm, const verify::VmEntry& l) {
+  std::string id = "exactly-once: vm " + vm.ToString();
+  if (l.creates > 1) {
+    return id + " created " + std::to_string(l.creates) + " times";
+  }
+  if (l.accepts > 1) {
+    return id + " accepted " + std::to_string(l.accepts) +
+           " times across the system";
+  }
+  if (l.accepts == 1 && l.creates == 0) {
+    return id + " accepted without a creation record";
+  }
+  if (l.accepts == 1 &&
+      (l.accepted_item != l.item || l.accepted_amount != l.amount)) {
+    return id + " accepted (item " + l.accepted_item.ToString() +
+           ", amount " + std::to_string(l.accepted_amount) +
+           ") != created (item " + l.item.ToString() + ", amount " +
+           std::to_string(l.amount) + ")";
+  }
+  // An acceptance is acked only once it is forced, so an ack with no forced
+  // acceptance anywhere means the ack outran the force.
+  if (l.acks > 0 && !l.durably_accepted) {
+    return id + " acked at the sender but never durably accepted";
+  }
+  return "";
+}
 
 }  // namespace
 
-Status CheckExactlyOnce(std::span<const wal::StableStorage* const> storages) {
-  std::map<VmId, VmLedger> ledger;
-  for (const wal::StableStorage* storage : storages) {
-    uint64_t ignored = 0;
-    (void)storage->ScanPrefix(
-        0, storage->log_size(),
-        [&](Lsn, const wal::LogRecord& rec) {
-          if (const auto* c = std::get_if<wal::VmCreateRec>(&rec)) {
-            VmLedger& l = ledger[c->vm];
-            ++l.creates;
-            l.created_item = c->item;
-            l.created_amount = c->amount;
-          } else if (const auto* a = std::get_if<wal::VmAcceptRec>(&rec)) {
-            VmLedger& l = ledger[a->vm];
-            ++l.accepts;
-            l.accepted_item = a->item;
-            l.accepted_amount = a->amount;
-          } else if (const auto* k = std::get_if<wal::VmAckedRec>(&rec)) {
-            ++ledger[k->vm].acks;
-          }
-        },
-        &ignored);
-  }
-  for (const auto& [vm, l] : ledger) {
-    std::string id = "vm " + vm.ToString();
-    if (l.creates > 1) {
-      return Status::Internal("exactly-once: " + id + " created " +
-                              std::to_string(l.creates) + " times");
-    }
-    if (l.accepts > 1) {
-      return Status::Internal("exactly-once: " + id + " accepted " +
-                              std::to_string(l.accepts) +
-                              " times across the system");
-    }
-    if (l.accepts == 1 && l.creates == 0) {
-      return Status::Internal("exactly-once: " + id +
-                              " accepted without a creation record");
-    }
-    if (l.accepts == 1 &&
-        (l.accepted_item != l.created_item ||
-         l.accepted_amount != l.created_amount)) {
-      return Status::Internal(
-          "exactly-once: " + id + " accepted (item " +
-          l.accepted_item.ToString() + ", amount " +
-          std::to_string(l.accepted_amount) + ") != created (item " +
-          l.created_item.ToString() + ", amount " +
-          std::to_string(l.created_amount) + ")");
-    }
-    if (l.acks > 0 && l.accepts == 0) {
-      return Status::Internal("exactly-once: " + id +
-                              " acked at the sender but never accepted");
-    }
+Status CheckExactlyOnce(const verify::LogLedger& ledger) {
+  for (const VmRow* row : SortedVms(ledger)) {
+    std::string violation = ExactlyOnceViolation(row->first, row->second);
+    if (!violation.empty()) return Status::Internal(violation);
   }
   return Status::OK();
 }
 
+Status CheckExactlyOnce(std::span<const wal::StableStorage* const> storages) {
+  return CheckExactlyOnce(verify::LogLedger(storages, nullptr));
+}
+
 Status CheckWalPrefixes(const wal::StableStorage& storage,
-                        const core::Catalog& catalog,
-                        uint64_t exhaustive_limit) {
+                        const core::Catalog& catalog) {
   uint64_t from = storage.checkpoint_upto();
   uint64_t size = storage.log_size();
   uint64_t suffix = size - from;
-  uint64_t stride =
-      suffix <= exhaustive_limit ? 1 : (suffix / exhaustive_limit + 1);
+  uint64_t stride = suffix <= kWalPrefixExhaustiveLimit
+                        ? 1
+                        : (suffix / kWalPrefixExhaustiveLimit + 1);
   for (uint64_t limit = from;; limit += stride) {
     // Always include the full-log prefix even when striding.
     if (limit > size) limit = size;
@@ -126,39 +113,7 @@ Status CheckWalPrefixes(const wal::StableStorage& storage,
 std::string ExplainViolation(
     std::span<const wal::StableStorage* const> storages,
     const obs::TraceRecorder* trace) {
-  struct Entry {
-    uint64_t creates = 0;
-    uint64_t accepts = 0;
-    uint64_t acks = 0;
-    SiteId dst;
-    ItemId item;
-    int64_t amount = 0;
-    ItemId accepted_item;
-    int64_t accepted_amount = 0;
-  };
-  std::map<VmId, Entry> ledger;
-  for (const wal::StableStorage* storage : storages) {
-    uint64_t ignored = 0;
-    (void)storage->ScanPrefix(
-        0, storage->log_size(),
-        [&](Lsn, const wal::LogRecord& rec) {
-          if (const auto* c = std::get_if<wal::VmCreateRec>(&rec)) {
-            Entry& e = ledger[c->vm];
-            ++e.creates;
-            e.dst = c->dst;
-            e.item = c->item;
-            e.amount = c->amount;
-          } else if (const auto* a = std::get_if<wal::VmAcceptRec>(&rec)) {
-            Entry& e = ledger[a->vm];
-            ++e.accepts;
-            e.accepted_item = a->item;
-            e.accepted_amount = a->amount;
-          } else if (const auto* k = std::get_if<wal::VmAckedRec>(&rec)) {
-            ++ledger[k->vm].acks;
-          }
-        },
-        &ignored);
-  }
+  verify::LogLedger ledger(storages, nullptr);
 
   // Every virtual time at which the named vm.* event fired for this VmId.
   // The Vm layer stamps each such event with the vm id as its first arg.
@@ -175,7 +130,8 @@ std::string ExplainViolation(
   };
 
   std::vector<std::string> lines;
-  for (const auto& [vm, e] : ledger) {
+  for (const VmRow* row : SortedVms(ledger)) {
+    const auto& [vm, e] = *row;
     std::string route = "site " + vm::VmIdSite(vm).ToString() + " -> site " +
                         e.dst.ToString() + ", item " + e.item.ToString() +
                         ", amount " + std::to_string(e.amount);
@@ -221,37 +177,20 @@ std::string ExplainViolation(
   return out;
 }
 
-Status CheckInvariants(const system::Cluster& cluster,
-                       const OracleOptions& opts) {
+Status CheckInvariants(const system::Cluster& cluster) {
   auto storages = cluster.Storages();
-  if (opts.conservation) {
-    Status s = verify::AuditAll(storages, cluster.catalog());
-    if (!s.ok()) return s;
+  const core::Catalog& catalog = cluster.catalog();
+  verify::LogLedger ledger(storages, &catalog, cluster.LiveView());
+  // The durable view over every item first, then both views item by item.
+  Status s = ledger.CheckConservation(false);
+  if (s.ok()) s = ledger.CheckConservation(true);
+  if (s.ok()) s = CheckExactlyOnce(ledger);
+  if (s.ok()) s = ledger.CheckAtomicSets();
+  if (s.ok()) s = ledger.CheckGroup(catalog.AllItems());
+  for (size_t i = 0; s.ok() && i < storages.size(); ++i) {
+    s = CheckWalPrefixes(*storages[i], catalog);
   }
-  if (opts.volatile_view) {
-    Status s =
-        verify::AuditAll(storages, cluster.catalog(), cluster.LiveView());
-    if (!s.ok()) return s;
-  }
-  if (opts.exactly_once) {
-    Status s = CheckExactlyOnce(storages);
-    if (!s.ok()) return s;
-  }
-  if (opts.atomic_commits) {
-    Status s = verify::CheckAtomicSetCommits(storages);
-    if (!s.ok()) return s;
-    std::vector<ItemId> all = cluster.catalog().AllItems();
-    s = verify::AuditGroup(storages, cluster.catalog(), all);
-    if (!s.ok()) return s;
-  }
-  if (opts.wal_prefix) {
-    for (const wal::StableStorage* storage : storages) {
-      Status s = CheckWalPrefixes(*storage, cluster.catalog(),
-                                  opts.wal_prefix_exhaustive_limit);
-      if (!s.ok()) return s;
-    }
-  }
-  return Status::OK();
+  return s;
 }
 
 }  // namespace dvp::chaos

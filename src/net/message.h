@@ -110,7 +110,7 @@ struct SubMsg {
 
 /// One piggybacked fragment-placement advertisement: the sender's own view of
 /// one item at send time. Rides outgoing packets the same way the cumulative
-/// ack does (Transport::Options::max_frame_hints bounds how many per frame)
+/// ack does (PlacementOptions::hints_per_frame bounds how many per frame)
 /// and is purely advisory — a stale or lost hint costs extra messages, never
 /// correctness.
 struct PlacementHint {
@@ -171,8 +171,8 @@ struct Packet {
   /// Coalesced riders in send order; empty unless the sender coalesces.
   std::vector<SubMsg> extra;
 
-  /// Piggybacked placement advertisements (Transport::Options::
-  /// max_frame_hints); advisory channel state like the ack, not payload.
+  /// Piggybacked placement advertisements (PlacementOptions::
+  /// hints_per_frame); advisory channel state like the ack, not payload.
   std::vector<PlacementHint> hints;
 };
 

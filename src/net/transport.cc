@@ -60,12 +60,7 @@ void Transport::AttachAck(Packet* p) {
 }
 
 void Transport::SendOnWire(Packet&& p) {
-  if (hint_fn_ && options_.max_frame_hints > 0) {
-    p.hints = hint_fn_(p.dst);
-    if (p.hints.size() > options_.max_frame_hints) {
-      p.hints.resize(options_.max_frame_hints);
-    }
-  }
+  if (hint_fn_) p.hints = hint_fn_(p.dst);
   p.trace_id = p.payload ? p.payload->trace_id : 0;
   if (trace_) {
     trace_->Instant(self_, obs::Track::kNet, "net.send", p.trace_id, "dst",

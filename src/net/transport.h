@@ -79,12 +79,6 @@ class Transport {
     bool coalesce = false;
     /// Upper bound on messages per coalesced frame (primary + riders).
     uint32_t max_frame_msgs = 8;
-    /// Placement-hint piggyback: up to this many per-item surplus/demand
-    /// advertisements (PlacementHint) ride every outgoing packet — the same
-    /// free-rider trick as the cumulative ack. 0 disables the channel. The
-    /// hints themselves come from set_hint_fn (the placement layer); the
-    /// transport only bounds and carries them.
-    uint32_t max_frame_hints = 0;
   };
 
   Transport(runtime::Runtime* rt, Conduit* conduit, SiteId self,
@@ -129,10 +123,11 @@ class Transport {
   }
 
   /// Placement-hint source: called once per outgoing packet with the
-  /// destination, returns the advertisements to piggyback (already bounded by
-  /// the provider; the transport additionally truncates to max_frame_hints).
-  /// Hints are gathered at send time, so even a retransmission carries the
-  /// sender's freshest view.
+  /// destination, returns the per-item surplus/demand advertisements to
+  /// piggyback — the same free-rider trick as the cumulative ack. The
+  /// provider bounds how many; unset, no packet carries hints. Hints are
+  /// gathered at send time, so even a retransmission carries the sender's
+  /// freshest view.
   void set_hint_fn(std::function<std::vector<PlacementHint>(SiteId dst)> fn) {
     hint_fn_ = std::move(fn);
   }

@@ -4,6 +4,21 @@
 
 namespace dvp::placement {
 
+namespace {
+
+/// Largest value moved by one rebalancer push; pacing bounds how fast
+/// placement can churn (a misprediction is cheap to undo).
+constexpr core::Value kRebalanceChunk = 16;
+/// Pushes attempted per rebalance tick across all items.
+constexpr uint32_t kRebalanceMaxPushes = 2;
+/// Fraction of the local fragment (permille) always kept home, so a site
+/// never strips itself bare chasing someone else's demand spike.
+constexpr core::Value kRebalanceReservePermille = 250;
+/// A peer only counts as a hot spot above this decayed demand level.
+constexpr core::Value kRebalanceMinDemand = 2;
+
+}  // namespace
+
 PlacementManager::PlacementManager(SiteId self, uint32_t num_sites,
                                    runtime::Runtime* rt,
                                    core::ValueStore* store,
@@ -237,7 +252,7 @@ void PlacementManager::Tick() {
   size_t limit = cache_.size();
   auto it = cache_.lower_bound(rebalance_cursor_);
   for (size_t scanned = 0;
-       scanned < limit && pushes < options_.rebalance_max_pushes; ++scanned) {
+       scanned < limit && pushes < kRebalanceMaxPushes; ++scanned) {
     if (it == cache_.end()) it = cache_.begin();
     HintRow& row = it->second;
     for (auto h = row.begin(); h != row.end();) {
@@ -266,7 +281,7 @@ bool PlacementManager::TryPush(ItemId item, HintRow& row) {
   // Never strip the fragment bare: keep the reserve slice and whatever our
   // own decayed demand suggests we are about to need.
   core::Value reserve =
-      local > 0 ? local * options_.rebalance_reserve_permille / 1000 : 0;
+      local > 0 ? local * kRebalanceReservePermille / 1000 : 0;
   core::Value avail = shippable - std::max(reserve, own_demand);
   if (avail <= 0) return false;
 
@@ -280,7 +295,7 @@ bool PlacementManager::TryPush(ItemId item, HintRow& row) {
   for (auto& [site, h] : row) {
     if (site == self_.value()) continue;
     if (!Fresh(h, now)) continue;
-    if (h.demand < options_.rebalance_min_demand) continue;
+    if (h.demand < kRebalanceMinDemand) continue;
     if (h.demand <= own_demand) continue;
     core::Value need = h.demand - h.surplus;
     if (need > best_need) {
@@ -291,7 +306,7 @@ bool PlacementManager::TryPush(ItemId item, HintRow& row) {
   }
   if (best == nullptr || best_need <= 0) return false;
 
-  core::Value amount = std::min({avail, options_.rebalance_chunk, best_need});
+  core::Value amount = std::min({avail, kRebalanceChunk, best_need});
   if (amount <= 0) return false;
   if (!send_value_fn_(best_site, item, amount).ok()) return false;
   m_rebalance_push_->Inc();

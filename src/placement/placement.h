@@ -7,7 +7,7 @@
 //
 //  * Surplus hints. Each site piggybacks bounded, freshness-stamped per-item
 //    advertisements of its own shippable surplus and local demand pressure on
-//    packets it already sends (Transport::Options::max_frame_hints — the same
+//    packets it already sends (PlacementOptions::hints_per_frame — the same
 //    free-rider trick as the cumulative piggyback ack). Peers fold them into
 //    a SurplusMap cache.
 //  * Surplus-directed gather. TxnManager::SendRequests consults
@@ -52,8 +52,7 @@ namespace dvp::placement {
 
 struct PlacementOptions {
   /// Advertisements piggybacked per outgoing packet; 0 keeps the placement
-  /// layer entirely off the wire (seed behavior). The Site mirrors this into
-  /// Transport::Options::max_frame_hints.
+  /// layer entirely off the wire (seed behavior).
   uint32_t hints_per_frame = 0;
   /// A cached hint older than this never directs a gather — the requester
   /// falls back to blind fan-out rather than trust a stale view.
@@ -61,16 +60,6 @@ struct PlacementOptions {
   /// Background rebalancer: paced Rds pushes from surplus toward demand.
   bool rebalance = false;
   SimTime rebalance_interval_us = 250'000;
-  /// Largest value moved by one push; pacing bounds how fast placement can
-  /// churn (a misprediction is cheap to undo).
-  core::Value rebalance_chunk = 16;
-  /// Pushes attempted per tick across all items.
-  uint32_t rebalance_max_pushes = 2;
-  /// Fraction of the local fragment (permille) always kept home, so a site
-  /// never strips itself bare chasing someone else's demand spike.
-  uint32_t rebalance_reserve_permille = 250;
-  /// A peer only counts as a hot spot above this decayed demand level.
-  core::Value rebalance_min_demand = 2;
   /// Demand EWMA halving period (integer halvings of elapsed/halflife).
   SimTime demand_halflife_us = 1'000'000;
   /// A cached hint untouched for this many staleness windows is evicted by

@@ -36,12 +36,8 @@ void Site::BuildVolatile() {
   placement_ = std::make_unique<placement::PlacementManager>(
       id_, conduit_->num_sites(), rt_, store_.get(), &metrics_,
       options_.placement);
-  net::Transport::Options topts = options_.transport;
-  if (options_.placement.hints_per_frame > 0) {
-    topts.max_frame_hints = options_.placement.hints_per_frame;
-  }
   transport_ = std::make_unique<net::Transport>(rt_, conduit_, id_,
-                                                &metrics_, topts,
+                                                &metrics_, options_.transport,
                                                 options_.trace);
   transport_->set_epoch(storage_->incarnation());
   transport_->set_deliver_fn([this](SiteId from, net::EnvelopePtr payload) {

@@ -34,8 +34,7 @@ struct SiteOptions {
   txn::TxnManagerOptions txn;
   net::Transport::Options transport;
   /// Demand-aware placement: surplus-hint piggyback + background rebalancer
-  /// (both off by default). hints_per_frame is mirrored into the transport's
-  /// max_frame_hints at build time.
+  /// (both off by default).
   placement::PlacementOptions placement;
   /// Group-commit force policy (off by default: each commit point is forced
   /// at once).

@@ -125,18 +125,11 @@ std::vector<const wal::StableStorage*> Cluster::Storages() const {
 }
 
 verify::ConservationBreakdown Cluster::Audit(ItemId item) const {
-  auto storages = Storages();
-  return verify::AuditItem(storages, *catalog_, item);
+  return verify::AuditItem(Storages(), *catalog_, item);
 }
 
 Status Cluster::AuditAll() const {
-  auto storages = Storages();
-  return verify::AuditAll(storages, *catalog_);
-}
-
-Status Cluster::AuditAllBulk() const {
-  auto storages = Storages();
-  return verify::AuditAllBulk(storages, *catalog_);
+  return verify::AuditAll(Storages(), *catalog_);
 }
 
 verify::LiveValueFn Cluster::LiveView() const {
@@ -148,8 +141,7 @@ verify::LiveValueFn Cluster::LiveView() const {
 }
 
 Status Cluster::AuditAllVolatile() const {
-  auto storages = Storages();
-  return verify::AuditAll(storages, *catalog_, LiveView());
+  return verify::AuditAll(Storages(), *catalog_, LiveView());
 }
 
 CounterSet Cluster::AggregateCounters() const {

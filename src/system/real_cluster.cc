@@ -81,7 +81,7 @@ std::vector<const wal::StableStorage*> RealCluster::Storages() const {
 }
 
 Status RealCluster::AuditAll() const {
-  return verify::AuditAllBulk(Storages(), *catalog_);
+  return verify::AuditAll(Storages(), *catalog_);
 }
 
 }  // namespace dvp::system

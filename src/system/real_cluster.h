@@ -73,8 +73,8 @@ class RealCluster {
 
   std::vector<const wal::StableStorage*> Storages() const;
 
-  /// Durable conservation over every item (see verify::AuditAllBulk: one
-  /// log pass per site, not per item). Only meaningful while the loops are
+  /// Durable conservation over every item (see verify::AuditAll: one log
+  /// pass per site, not per item). Only meaningful while the loops are
   /// stopped — the auditor replays logs the loop threads would otherwise
   /// still be appending to.
   Status AuditAll() const;

@@ -1,23 +1,31 @@
+// The audit ledger: everything the invariant checks read from the logs,
+// gathered in one pass per site — one store rebuild (RebuildStore) and one
+// scan of the full appended log (ScanPrefix). Every conservation, group,
+// atomic-set and Vm oracle reads the ledger instead of the logs, so a change
+// to how logs are stored or rebuilt has one reader to change.
+//
 // The conservation invariant (§3): at every instant,
 //     N = Σ_i N_i + N_M
 // — the item's value equals the sum of all site fragments plus the value of
-// all live Vm (created but not yet accepted anywhere). This auditor computes
-// both terms purely from stable storage, so it is meaningful even mid-crash:
-// a site's fragment is what its recovery would reconstruct, and a Vm is live
-// exactly when its creation record exists and no acceptance record does.
-//
-// A second, in-memory view audits the *volatile* state alongside the stable
-// one: every up site's live fragment store must agree with what its log
-// would rebuild (the stores are updated in lockstep with log forces, so any
-// divergence at an event boundary is a bug), and the conservation sum holds
-// with live values substituted for up sites. The chaos harness evaluates
-// both views at random instants during a run, not only at quiescence.
+// all live Vm (created but not yet accepted anywhere). The ledger keeps two
+// views of it:
+//  * durable — fragments are what each site's recovery would rebuild, and a
+//    log record counts iff it lies in the site's forced prefix
+//    (lsn < durable_size()); meaningful even mid-crash;
+//  * volatile — every up site's live in-memory fragment substituted for its
+//    durable rebuild, and the FULL appended log counted, unforced group-commit
+//    tail included, because live stores apply buffered records at append
+//    time. Down sites have no unforced tail (a crash drops it).
+// The chaos harness evaluates both views at random instants during a run,
+// not only at quiescence.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
+#include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -26,34 +34,17 @@
 
 namespace dvp::verify {
 
+/// One item's conservation terms in one view. The invariant is
+///     site_total + in_flight == initial_total + committed_delta.
 struct ConservationBreakdown {
-  core::Value site_total = 0;  ///< Σ_i N_i (durable view)
+  core::Value site_total = 0;  ///< Σ_i N_i
   core::Value in_flight = 0;   ///< N_M: value of live Vm
   /// Net change to the item's value by committed transactions (redistribution
-  /// contributes nothing): the invariant is
-  ///     site_total + in_flight == initial_total + committed_delta.
+  /// contributes nothing).
   core::Value committed_delta = 0;
   uint64_t live_vms = 0;
 
-  /// Σ_i N_i with each *up* site's live in-memory fragment substituted for
-  /// its durable one (down sites contribute their durable value). Only
-  /// meaningful when a live view was supplied to the audit.
-  core::Value volatile_site_total = 0;
-  bool has_volatile = false;
-
-  /// The volatile-view ledger is computed over the FULL appended log —
-  /// including the unforced group-commit batch tail — because up sites apply
-  /// buffered records to their in-memory stores at append time, before the
-  /// covering force. Down sites have no unforced tail (a crash drops it), so
-  /// for them the two ledgers coincide.
-  core::Value volatile_in_flight = 0;
-  core::Value volatile_committed_delta = 0;
-  uint64_t volatile_live_vms = 0;
-
   core::Value total() const { return site_total + in_flight; }
-  core::Value volatile_total() const {
-    return volatile_site_total + volatile_in_flight;
-  }
 };
 
 /// Live-state accessor for the volatile view: returns the in-memory fragment
@@ -62,35 +53,103 @@ struct ConservationBreakdown {
 using LiveValueFn =
     std::function<std::optional<core::Value>(SiteId, ItemId)>;
 
-/// Computes the breakdown for one item across all sites. With `live`, also
-/// fills the volatile view.
+/// Bits of VmEntry::created / VmEntry::accepted: the views a record counts in.
+enum LedgerView : uint8_t { kDurableView = 1, kVolatileView = 2 };
+
+/// One Vm's records across every site's log.
+struct VmEntry {
+  core::Value amount = 0;           ///< last create record's
+  core::Value durable_amount = 0;   ///< same, durable view only
+  core::Value accepted_amount = 0;  ///< last acceptance record's
+  /// Record counts over every site's full log (exactly-once accounting).
+  uint32_t creates = 0;
+  uint32_t accepts = 0;
+  uint32_t acks = 0;
+  SiteId dst;                       ///< last create record's
+  ItemId item;                      ///< last create record's
+  ItemId durable_item;              ///< same, durable view only
+  ItemId accepted_item;             ///< last acceptance record's
+  /// LedgerView bits of the conservation views holding a create/acceptance.
+  uint8_t created = 0;
+  uint8_t accepted = 0;
+  /// Some site's forced prefix holds an acceptance.
+  bool durably_accepted = false;
+
+  bool LiveIn(LedgerView view) const {
+    return (created & view) != 0 && (accepted & view) == 0;
+  }
+};
+
+class LogLedger {
+ public:
+  /// Reads every site once. With a catalog, each site's store is rebuilt to
+  /// yield its durable fragments (from resident fragments only, never the
+  /// whole catalog), and a site whose rebuild fails is left out of the
+  /// conservation views. With `live`, the volatile view is filled too; it
+  /// reads each up site's live value of every catalog item. Without a
+  /// catalog only the Vm entries and atomic-set anomalies are recorded.
+  LogLedger(std::span<const wal::StableStorage* const> storages,
+            const core::Catalog* catalog, const LiveValueFn& live = nullptr);
+
+  /// Durable-view terms for one catalog item (needs a catalog).
+  const ConservationBreakdown& Breakdown(ItemId item) const {
+    return durable_[item.value()];
+  }
+  /// Checks every item in catalog order; the first violation wins, the
+  /// durable view before the volatile one (checked only with `live`).
+  Status CheckConservation(bool with_volatile) const;
+  /// The conservation sum over a group of items, with atomic-set records
+  /// lying wholly inside the group excluded. Durable view.
+  Status CheckGroup(std::span<const ItemId> group) const;
+  /// Every atomic-set commit record carries >= 2 writes summing to zero;
+  /// every site's full log, first anomaly in (site, LSN) order.
+  Status CheckAtomicSets() const;
+
+  const std::unordered_map<VmId, VmEntry>& vms() const { return vms_; }
+
+ private:
+  /// An atomic-set commit record that is not a well-formed transfer: fewer
+  /// than two writes, or writes that do not sum to zero. Well-formed records
+  /// need no entry: they fail no check, and excluding one from a group sum
+  /// subtracts zero.
+  struct AtomicAnomaly {
+    SiteId site;
+    TxnId txn;
+    bool durable = false;       ///< counts in the durable conservation view
+    core::Value net = 0;        ///< Σ of the record's write deltas
+    std::vector<ItemId> items;  ///< one per write
+  };
+
+  void Scan(const wal::StableStorage& storage, bool conserving);
+
+  const core::Catalog* catalog_;
+  std::vector<ConservationBreakdown> durable_;
+  std::vector<ConservationBreakdown> volatile_;  ///< empty without `live`
+  std::unordered_map<VmId, VmEntry> vms_;
+  std::vector<AtomicAnomaly> anomalies_;
+};
+
+/// Durable conservation breakdown for one item.
 ConservationBreakdown AuditItem(
     std::span<const wal::StableStorage* const> storages,
-    const core::Catalog& catalog, ItemId item,
-    const LiveValueFn& live = nullptr);
+    const core::Catalog& catalog, ItemId item);
 
 /// Checks every catalog item against its initial total; returns the first
-/// violation as an Internal status. With `live`, additionally checks that
-/// the volatile sum conserves and that every up site's live fragment matches
-/// its durable rebuild (volatile/durable coherence).
+/// violation as an Internal status. With `live`, additionally checks the
+/// volatile view's sum (live fragments + full-log Vm and commit records).
 Status AuditAll(std::span<const wal::StableStorage* const> storages,
                 const core::Catalog& catalog,
                 const LiveValueFn& live = nullptr);
 
-/// Durable-view conservation check over the WHOLE catalog with one store
-/// rebuild and one log scan per site, instead of AuditAll's one per site
-/// *per item*. The scale bench audits 10⁶ items × 100 sites; item-at-a-time
-/// that is 10⁸ log replays. Semantically identical to AuditAll restricted to
-/// the durable view: same rebuild, same ledgers, same invariant
-///     site_total + in_flight == initial_total + committed_delta
-/// for every item, just accumulated per item in a single pass.
+/// The benchmark's name for the durable AuditAll; the next benchmark change
+/// calls AuditAll and deletes this.
 Status AuditAllBulk(std::span<const wal::StableStorage* const> storages,
                     const core::Catalog& catalog);
 
 /// Transaction-scoped cross-item conservation, part 1: every commit record
 /// flagged atomic_set must carry at least two writes whose deltas sum to
 /// zero — a transfer moves value between items, it never mints or destroys
-/// it. Scans the FULL appended log of every site (an atomic record is one
+/// it. Reads the FULL appended log of every site (an atomic record is one
 /// append; there is no torn half to excuse), so a doctored record is caught
 /// even while it sits in the unforced group-commit tail.
 Status CheckAtomicSetCommits(

@@ -137,6 +137,37 @@ TEST(ChaosOracles, ExactlyOnceCatchesMismatchedAmount) {
       << bad.message();
 }
 
+TEST(ChaosOracles, ExactlyOnceRequiresADurableAcceptanceForAnAck) {
+  // The receiver acks only once its acceptance is forced, so a sender's ack
+  // next to an acceptance still in the receiver's unforced tail means the
+  // ack outran the force.
+  wal::StableStorage s0{SiteId(0)}, s1{SiteId(1)};
+  VmId vm = vm::MakeVmId(SiteId(0), 3);
+  ItemId item(0);
+  wal::VmCreateRec create;
+  create.vm = vm;
+  create.dst = SiteId(1);
+  create.item = item;
+  create.amount = 5;
+  s0.Append(wal::LogRecord(create));
+  s0.Append(wal::LogRecord(wal::VmAckedRec{vm}));
+
+  wal::VmAcceptRec accept;
+  accept.vm = vm;
+  accept.src = SiteId(0);
+  accept.item = item;
+  accept.amount = 5;
+  s1.AppendBuffered(wal::LogRecord(accept));
+  std::vector<const wal::StableStorage*> storages{&s0, &s1};
+  Status bad = chaos::CheckExactlyOnce(storages);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.message().find("never durably accepted"), std::string::npos)
+      << bad.message();
+
+  s1.ForceTail();
+  EXPECT_TRUE(chaos::CheckExactlyOnce(storages).ok());
+}
+
 TEST(ChaosFaultPlan, GenerationIsDeterministicAndSorted) {
   chaos::PlanSpec spec;
   chaos::FaultPlan a = chaos::GeneratePlan(42, spec);

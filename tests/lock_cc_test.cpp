@@ -171,7 +171,7 @@ TEST(LockOrderTest, OpposingTransfersDecideUnderEveryInterleaving) {
 
     EXPECT_EQ(decided, submitted) << "seed " << seed << ": undecided txn "
                                   << "— opposing transfers wedged";
-    EXPECT_TRUE(cluster.AuditAllBulk().ok()) << "seed " << seed;
+    EXPECT_TRUE(cluster.AuditAll().ok()) << "seed " << seed;
     EXPECT_EQ(cluster.TotalOf(a) + cluster.TotalOf(b), 240)
         << "seed " << seed;
   }

@@ -201,7 +201,7 @@ TEST(MultiopRegression, ReadDrainWaitsForLocalOutstandingVm) {
   Status ser = checker.Check(verify::HistoryChecker::Order::kTimestamp,
                              &final_totals);
   EXPECT_TRUE(ser.ok()) << ser.ToString();
-  EXPECT_TRUE(cluster.AuditAllBulk().ok());
+  EXPECT_TRUE(cluster.AuditAll().ok());
 }
 
 }  // namespace

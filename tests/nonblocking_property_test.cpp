@@ -13,6 +13,7 @@
 
 #include "chaos/fault_plan.h"
 #include "chaos/harness.h"
+#include "common/rng.h"
 
 namespace dvp {
 namespace {

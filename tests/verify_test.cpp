@@ -23,6 +23,7 @@ class AuditorTest : public ::testing::Test {
  protected:
   AuditorTest() {
     item_ = catalog_.AddItem("pool", CountDomain::Instance(), 100);
+    spare_ = catalog_.AddItem("spare", CountDomain::Instance(), 100);
     system::ClusterOptions opts;
     opts.num_sites = 2;
     opts.seed = 5;
@@ -31,7 +32,7 @@ class AuditorTest : public ::testing::Test {
   }
 
   core::Catalog catalog_;
-  ItemId item_;
+  ItemId item_, spare_;
   std::unique_ptr<system::Cluster> cluster_;
 };
 
@@ -88,6 +89,44 @@ TEST_F(AuditorTest, DetectsDoctoredDuplication) {
   forged.write = wal::FragmentWrite{item_, 75, 25, 0};
   cluster_->storage(SiteId(1)).Append(wal::LogRecord(forged));
   EXPECT_FALSE(cluster_->AuditAll().ok());
+}
+
+TEST_F(AuditorTest, VolatileViewRejectsAnUnforcedForgery) {
+  // A Vm-creation record that no store applied, still in the unforced tail:
+  // the durable view cannot see it yet, the volatile view must.
+  wal::VmCreateRec forged;
+  forged.vm = VmId(987654321);
+  forged.dst = SiteId(1);
+  forged.item = item_;
+  forged.amount = 5;
+  forged.write = wal::FragmentWrite{item_, 50, 0, 0};
+  cluster_->storage(SiteId(0)).AppendBuffered(wal::LogRecord(forged));
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+  Status s = cluster_->AuditAllVolatile();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("volatile conservation violated for item pool"),
+            std::string::npos)
+      << s.message();
+}
+
+TEST_F(AuditorTest, FirstViolationIsReportedInCatalogOrder) {
+  // Value from nowhere for both items, the later catalog item logged first:
+  // the report follows catalog order, not log order.
+  uint64_t next_vm = 555000;
+  for (ItemId item : {spare_, item_}) {
+    wal::VmAcceptRec forged;
+    forged.vm = VmId(next_vm++);
+    forged.src = SiteId(0);
+    forged.item = item;
+    forged.amount = 7;
+    forged.write = wal::FragmentWrite{item, 57, 7, 0};
+    cluster_->storage(SiteId(1)).Append(wal::LogRecord(forged));
+  }
+  Status s = cluster_->AuditAll();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("conservation violated for item pool:"),
+            std::string::npos)
+      << s.message();
 }
 
 // ---- Cross-item conservation oracles -------------------------------------------
