@@ -22,21 +22,23 @@ struct GroupStats {
 };
 
 struct Probe {
-  workload::SystemAdapter* adapter = nullptr;
-  // group index during the window: sites 0,1 -> group 0; 2,3 -> group 1.
+  world::SimWorld* world = nullptr;
+  // Group index during the window: sites below `split` -> group 0, the
+  // rest -> group 1.
+  uint32_t split = 2;
   GroupStats in_window[2];
   uint64_t outside_committed = 0;
   uint64_t outside_decided = 0;
 
   void Record(SiteId at, const txn::TxnResult& r) {
-    SimTime now = adapter->Now();
+    SimTime now = world->Now();
     bool inside = now >= kSplitStart && now <= kSplitEnd;
     if (!inside) {
       ++outside_decided;
       if (r.committed()) ++outside_committed;
       return;
     }
-    int group = at.value() < 2 ? 0 : 1;
+    int group = at.value() < split ? 0 : 1;
     ++in_window[group].decided;
     if (r.committed()) ++in_window[group].committed;
   }
@@ -52,14 +54,6 @@ workload::WorkloadOptions Mix(uint64_t seed) {
   return w;
 }
 
-void SchedulePartition(workload::SystemAdapter& adapter) {
-  adapter.kernel().ScheduleAt(kSplitStart, [&adapter]() {
-    (void)adapter.Partition(
-        {{SiteId(0), SiteId(1)}, {SiteId(2), SiteId(3)}});
-  });
-  adapter.kernel().ScheduleAt(kSplitEnd, [&adapter]() { adapter.Heal(); });
-}
-
 void Report(workload::TablePrinter& table, std::string_view system,
             const Probe& probe) {
   auto rate = [](const GroupStats& g) {
@@ -73,6 +67,29 @@ void Report(workload::TablePrinter& table, std::string_view system,
                              double(probe.outside_decided);
   table.AddRow(std::string(system), rate(probe.in_window[0]),
                rate(probe.in_window[1]), outside);
+}
+
+/// Splits sites {0..split-1} | {split..3} over [kSplitStart, kSplitEnd],
+/// drives the mix through the window and reports the per-group commit rates.
+void RunOne(workload::TablePrinter& table, std::string_view system,
+            world::SimWorld* world, const std::vector<ItemId>& items,
+            uint32_t split = 2) {
+  std::vector<std::vector<SiteId>> groups(2);
+  for (uint32_t s = 0; s < world->num_sites(); ++s) {
+    groups[s < split ? 0 : 1].push_back(SiteId(s));
+  }
+  world->kernel().ScheduleAt(kSplitStart, [world, groups]() {
+    (void)world->Partition(groups);
+  });
+  world->kernel().ScheduleAt(kSplitEnd, [world]() { world->Heal(); });
+  workload::WorkloadDriver driver(world, items, Mix(21));
+  Probe probe{world, split, {}, 0, 0};
+  driver.set_on_decision([&probe](SiteId at, const txn::TxnSpec&,
+                                  const txn::TxnResult& r) {
+    probe.Record(at, r);
+  });
+  (void)driver.Run(kRun);
+  Report(table, system, probe);
 }
 
 void Main() {
@@ -91,16 +108,7 @@ void Main() {
     opts.seed = 31;
     system::Cluster cluster(&catalog, opts);
     cluster.BootstrapEven();
-    workload::DvpAdapter adapter(&cluster);
-    SchedulePartition(adapter);
-    workload::WorkloadDriver driver(&adapter, items, Mix(21));
-    Probe probe{&adapter, {}, 0, 0};
-    driver.set_on_decision([&probe](SiteId at, const txn::TxnSpec&,
-                                    const txn::TxnResult& r) {
-      probe.Record(at, r);
-    });
-    (void)driver.Run(kRun);
-    Report(table, "DvP", probe);
+    RunOne(table, "DvP", &cluster, items);
   }
   {  // 2PC write-all
     std::vector<ItemId> items;
@@ -111,16 +119,7 @@ void Main() {
     opts.policy = baseline::ReplicaPolicy::kWriteAll;
     baseline::TwoPcCluster cluster(&catalog, opts);
     cluster.Bootstrap();
-    workload::TwoPcAdapter adapter(&cluster, "2PC write-all");
-    SchedulePartition(adapter);
-    workload::WorkloadDriver driver(&adapter, items, Mix(21));
-    Probe probe{&adapter, {}, 0, 0};
-    driver.set_on_decision([&probe](SiteId at, const txn::TxnSpec&,
-                                    const txn::TxnResult& r) {
-      probe.Record(at, r);
-    });
-    (void)driver.Run(kRun);
-    Report(table, "2PC write-all", probe);
+    RunOne(table, "2PC write-all", &cluster, items);
   }
   {  // 2PC quorum: split 3|1 so one side has a majority.
     std::vector<ItemId> items;
@@ -131,30 +130,8 @@ void Main() {
     opts.policy = baseline::ReplicaPolicy::kQuorum;
     baseline::TwoPcCluster cluster(&catalog, opts);
     cluster.Bootstrap();
-    workload::TwoPcAdapter adapter(&cluster, "2PC quorum");
-    adapter.kernel().ScheduleAt(kSplitStart, [&adapter]() {
-      (void)adapter.Partition(
-          {{SiteId(0), SiteId(1), SiteId(2)}, {SiteId(3)}});
-    });
-    adapter.kernel().ScheduleAt(kSplitEnd, [&adapter]() { adapter.Heal(); });
-    workload::WorkloadDriver driver(&adapter, items, Mix(21));
     // Group 0 = sites 0..2 (majority), group 1 = site 3 (minority).
-    Probe probe{&adapter, {}, 0, 0};
-    driver.set_on_decision([&probe, &adapter](SiteId at, const txn::TxnSpec&,
-                                              const txn::TxnResult& r) {
-      SimTime now = adapter.Now();
-      bool inside = now >= kSplitStart && now <= kSplitEnd;
-      if (!inside) {
-        ++probe.outside_decided;
-        if (r.committed()) ++probe.outside_committed;
-        return;
-      }
-      int group = at.value() < 3 ? 0 : 1;
-      ++probe.in_window[group].decided;
-      if (r.committed()) ++probe.in_window[group].committed;
-    });
-    (void)driver.Run(kRun);
-    Report(table, "2PC quorum (3|1 split)", probe);
+    RunOne(table, "2PC quorum (3|1 split)", &cluster, items, /*split=*/3);
   }
   {  // Primary copy
     std::vector<ItemId> items;
@@ -164,16 +141,7 @@ void Main() {
     opts.seed = 31;
     baseline::PrimaryCopyCluster cluster(&catalog, opts);
     cluster.Bootstrap();
-    workload::PrimaryCopyAdapter adapter(&cluster);
-    SchedulePartition(adapter);
-    workload::WorkloadDriver driver(&adapter, items, Mix(21));
-    Probe probe{&adapter, {}, 0, 0};
-    driver.set_on_decision([&probe](SiteId at, const txn::TxnSpec&,
-                                    const txn::TxnResult& r) {
-      probe.Record(at, r);
-    });
-    (void)driver.Run(kRun);
-    Report(table, "PrimaryCopy", probe);
+    RunOne(table, "PrimaryCopy", &cluster, items);
   }
 
   table.Print();

@@ -29,17 +29,10 @@ struct Row {
   uint64_t undecided = 0;
 };
 
-Row RunDvp(SimTime period_us) {
-  std::vector<ItemId> items;
-  core::Catalog catalog = MakeCountCatalog(4, 400, &items);
-  system::ClusterOptions opts;
-  opts.num_sites = 4;
-  opts.seed = 99;
-  opts.site.txn.timeout_us = kTimeout;
-  system::Cluster cluster(&catalog, opts);
-  cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
-
+/// The E1 load and its random splits, driven through `world` — the same
+/// harness for both systems.
+Row Drive(world::SimWorld* world, const std::vector<ItemId>& items,
+          std::string system, SimTime period_us) {
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 150;
   // Balanced mix: the totals stay near steady state, so aborts measure the
@@ -50,13 +43,13 @@ Row RunDvp(SimTime period_us) {
   w.p_read = 0;  // full reads are E5's subject
   w.site_zipf_theta = 0.8;
   w.seed = 5 + uint64_t(period_us);
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(world, items, w);
 
-  PartitionInjector injector(&adapter, period_us, kSplitLen, 77);
+  PartitionInjector injector(world, period_us, kSplitLen, 77);
   injector.Start(kRun);
 
   Row row;
-  row.system = "DvP";
+  row.system = std::move(system);
   row.period = period_us;
   row.results = driver.Run(kRun, kDrain);
   // Every split must have healed inside the injection window: the drain
@@ -64,6 +57,18 @@ Row RunDvp(SimTime period_us) {
   assert(injector.healed_at_end());
   row.undecided = row.results.submitted - row.results.decided();
   return row;
+}
+
+Row RunDvp(SimTime period_us) {
+  std::vector<ItemId> items;
+  core::Catalog catalog = MakeCountCatalog(4, 400, &items);
+  system::ClusterOptions opts;
+  opts.num_sites = 4;
+  opts.seed = 99;
+  opts.site.txn.timeout_us = kTimeout;
+  system::Cluster cluster(&catalog, opts);
+  cluster.BootstrapEven();
+  return Drive(&cluster, items, "DvP", period_us);
 }
 
 Row Run2pc(SimTime period_us) {
@@ -76,29 +81,7 @@ Row Run2pc(SimTime period_us) {
   opts.coordinator_timeout_us = kTimeout;
   baseline::TwoPcCluster cluster(&catalog, opts);
   cluster.Bootstrap();
-  workload::TwoPcAdapter adapter(&cluster, "2PC");
-
-  workload::WorkloadOptions w;
-  w.arrivals_per_sec = 150;
-  // Balanced mix: the totals stay near steady state, so aborts measure the
-  // protocol (conflicts, partitions), not resource exhaustion. Site skew
-  // concentrates demand so redistribution actually happens.
-  w.p_decrement = 0.5;
-  w.p_increment = 0.5;
-  w.p_read = 0;  // full reads are E5's subject
-  w.site_zipf_theta = 0.8;
-  w.seed = 5 + uint64_t(period_us);
-  workload::WorkloadDriver driver(&adapter, items, w);
-
-  PartitionInjector injector(&adapter, period_us, kSplitLen, 77);
-  injector.Start(kRun);
-
-  Row row;
-  row.system = "2PC";
-  row.period = period_us;
-  row.results = driver.Run(kRun, kDrain);
-  assert(injector.healed_at_end());
-  row.undecided = row.results.submitted - row.results.decided();
+  Row row = Drive(&cluster, items, "2PC", period_us);
   row.max_blocked_ms = cluster.blocked_time().max() / 1000.0;
   return row;
 }

@@ -17,20 +17,19 @@
 #include "dvpcore/catalog.h"
 #include "obs/json.h"
 #include "system/cluster.h"
-#include "workload/adapter.h"
 #include "workload/generator.h"
 #include "workload/table.h"
 
 namespace dvp::bench {
 
-/// Schedules repeating random 2-way partitions against any adapter:
-/// every `period_us` the network splits into two random nonempty groups for
-/// `duration_us`, then heals.
+/// Schedules repeating random 2-way partitions against any simulated system
+/// (DvP or a baseline): every `period_us` the network splits into two random
+/// nonempty groups for `duration_us`, then heals.
 class PartitionInjector {
  public:
-  PartitionInjector(workload::SystemAdapter* adapter, SimTime period_us,
+  PartitionInjector(world::SimWorld* world, SimTime period_us,
                     SimTime duration_us, uint64_t seed)
-      : adapter_(adapter),
+      : world_(world),
         period_us_(period_us),
         duration_us_(duration_us),
         rng_(seed) {}
@@ -51,10 +50,10 @@ class PartitionInjector {
 
  private:
   void Arm() {
-    SimTime when = adapter_->Now() + period_us_;
+    SimTime when = world_->Now() + period_us_;
     if (when >= until_) return;
-    adapter_->kernel().ScheduleAt(when, [this]() {
-      uint32_t n = adapter_->num_sites();
+    world_->kernel().ScheduleAt(when, [this]() {
+      uint32_t n = world_->num_sites();
       if (n >= 2) {
         // Random nonempty bipartition.
         std::vector<SiteId> a, b;
@@ -65,16 +64,16 @@ class PartitionInjector {
             (rng_.NextBool(0.5) ? a : b).push_back(SiteId(s));
           }
         } while (a.empty() || b.empty());
-        (void)adapter_->Partition({a, b});
+        (void)world_->Partition({a, b});
         ++splits_;
         // Clamp the heal inside the armed window: a split near `until_`
         // must not leave the network partitioned after the injector is
         // nominally done (the heal used to land past `until_`, poisoning
         // whatever the bench measured next).
         SimTime heal_at =
-            std::min(adapter_->Now() + duration_us_, until_);
-        adapter_->kernel().ScheduleAt(heal_at, [this]() {
-          adapter_->Heal();
+            std::min(world_->Now() + duration_us_, until_);
+        world_->kernel().ScheduleAt(heal_at, [this]() {
+          world_->Heal();
           ++heals_;
         });
       }
@@ -82,7 +81,7 @@ class PartitionInjector {
     });
   }
 
-  workload::SystemAdapter* adapter_;
+  world::SimWorld* world_;
   SimTime period_us_;
   SimTime duration_us_;
   SimTime until_ = 0;

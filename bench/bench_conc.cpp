@@ -38,7 +38,6 @@ Row RunScheme(cc::CcScheme scheme, uint32_t n_items, uint64_t seed) {
   }
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
 
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 100;
@@ -47,12 +46,12 @@ Row RunScheme(cc::CcScheme scheme, uint32_t n_items, uint64_t seed) {
   w.p_read = 0.10;
   w.site_zipf_theta = 0.6;
   w.seed = seed * 7 + 1;
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
 
   verify::HistoryChecker checker(&catalog);
-  driver.set_on_commit([&checker, &adapter](TxnId id, const txn::TxnSpec& spec,
+  driver.set_on_commit([&checker, &cluster](TxnId id, const txn::TxnSpec& spec,
                                             const txn::TxnResult& r) {
-    checker.RecordCommitAt(adapter.Now(), id, spec, r);
+    checker.RecordCommitAt(cluster.Now(), id, spec, r);
   });
 
   Row row;
@@ -118,7 +117,6 @@ void Main() {
     opts.site.txn.accept_stamp = mode;
     system::Cluster cluster(&catalog, opts);
     cluster.BootstrapEven();
-    workload::DvpAdapter adapter(&cluster);
 
     workload::WorkloadOptions w;
     w.arrivals_per_sec = 120;
@@ -128,7 +126,7 @@ void Main() {
     w.site_zipf_theta = 1.2;
     w.increment_site_zipf_theta = 0.0;
     w.seed = 8011;
-    workload::WorkloadDriver driver(&adapter, items, w);
+    workload::WorkloadDriver driver(&cluster, items, w);
     uint64_t read_committed = 0, read_total = 0;
     driver.set_on_decision([&](SiteId, const txn::TxnSpec& spec,
                                const txn::TxnResult& r) {

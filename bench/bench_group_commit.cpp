@@ -80,14 +80,13 @@ Outcome RunOnce(const Config& cfg) {
   };
   arm_burst(kBurstGap);
 
-  workload::DvpAdapter adapter(&cluster);
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 400;
   w.p_decrement = 0.5;
   w.p_increment = 0.5;
   w.p_read = 0;
   w.seed = 515;
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
   auto r = driver.Run(kRun, kDrain);
 
   Outcome out;

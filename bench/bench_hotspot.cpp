@@ -65,6 +65,25 @@ Row RunSingleSite(baseline::EscrowSite::Mode mode, double rate,
   return row;
 }
 
+/// The E4 load, driven through `world` — the same harness for both systems.
+Row Drive(world::SimWorld* world, const std::vector<ItemId>& items,
+          double rate, uint64_t seed) {
+  workload::WorkloadOptions w;
+  w.arrivals_per_sec = rate;
+  w.p_decrement = 0.5;
+  w.p_increment = 0.5;
+  w.p_read = 0;
+  w.amount_min = 1;
+  w.amount_max = 3;
+  w.seed = seed * 3 + 1;
+  workload::WorkloadDriver driver(world, items, w);
+  auto r = driver.Run(kRun);
+  Row row;
+  row.committed = r.committed();
+  row.aborted = r.decided() - r.committed();
+  return row;
+}
+
 Row RunDvp(double rate, uint64_t seed) {
   std::vector<ItemId> items;
   core::Catalog catalog = MakeCountCatalog(1, kInitial, &items);
@@ -74,21 +93,7 @@ Row RunDvp(double rate, uint64_t seed) {
   opts.site.txn.local_compute_us = kTxnDuration;
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
-  workload::WorkloadOptions w;
-  w.arrivals_per_sec = rate;
-  w.p_decrement = 0.5;
-  w.p_increment = 0.5;
-  w.p_read = 0;
-  w.amount_min = 1;
-  w.amount_max = 3;
-  w.seed = seed * 3 + 1;
-  workload::WorkloadDriver driver(&adapter, items, w);
-  auto r = driver.Run(kRun);
-  Row row;
-  row.committed = r.committed();
-  row.aborted = r.decided() - r.committed();
-  return row;
+  return Drive(&cluster, items, rate, seed);
 }
 
 Row Run2pc(double rate, uint64_t seed) {
@@ -99,21 +104,7 @@ Row Run2pc(double rate, uint64_t seed) {
   opts.seed = seed;
   baseline::TwoPcCluster cluster(&catalog, opts);
   cluster.Bootstrap();
-  workload::TwoPcAdapter adapter(&cluster);
-  workload::WorkloadOptions w;
-  w.arrivals_per_sec = rate;
-  w.p_decrement = 0.5;
-  w.p_increment = 0.5;
-  w.p_read = 0;
-  w.amount_min = 1;
-  w.amount_max = 3;
-  w.seed = seed * 3 + 1;
-  workload::WorkloadDriver driver(&adapter, items, w);
-  auto r = driver.Run(kRun);
-  Row row;
-  row.committed = r.committed();
-  row.aborted = r.decided() - r.committed();
-  return row;
+  return Drive(&cluster, items, rate, seed);
 }
 
 // ---- E4b: site-skew sweep — blind vs surplus-directed vs rebalancer ---------

@@ -58,7 +58,6 @@ Outcome RunOne(uint64_t seed) {
   opts.site.txn.multiop_timeout_us = 200'000;
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
 
   workload::WorkloadOptions w;
   w.arrivals_per_sec = kRate;
@@ -71,12 +70,12 @@ Outcome RunOne(uint64_t seed) {
   w.amount_max = 6;
   w.item_zipf_theta = 0.6;
   w.seed = seed * 3 + 1;
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
 
   verify::HistoryChecker checker(&catalog);
   driver.set_on_commit([&](TxnId id, const txn::TxnSpec& spec,
                            const txn::TxnResult& r) {
-    checker.RecordCommitAt(adapter.Now(), id, spec, r);
+    checker.RecordCommitAt(cluster.Now(), id, spec, r);
   });
 
   Outcome out;

@@ -42,8 +42,7 @@ void Main(const std::string& json_path) {
       opts.seed = 7;
       system::Cluster cluster(&catalog, opts);
       cluster.BootstrapEven();
-      workload::DvpAdapter adapter(&cluster);
-      workload::WorkloadDriver driver(&adapter, items, Mix(100 + n));
+      workload::WorkloadDriver driver(&cluster, items, Mix(100 + n));
       auto r = driver.Run(kRun);
       uint64_t forces = 0;
       for (uint32_t s = 0; s < n; ++s) {
@@ -69,8 +68,7 @@ void Main(const std::string& json_path) {
       opts.seed = 7;
       baseline::PrimaryCopyCluster cluster(&catalog, opts);
       cluster.Bootstrap();
-      workload::PrimaryCopyAdapter adapter(&cluster);
-      workload::WorkloadDriver driver(&adapter, items, Mix(100 + n));
+      workload::WorkloadDriver driver(&cluster, items, Mix(100 + n));
       auto r = driver.Run(kRun);
       const net::NetworkStats& ns = cluster.network().stats();
       double commits = double(std::max<uint64_t>(1, r.committed()));
@@ -88,8 +86,7 @@ void Main(const std::string& json_path) {
       opts.policy = baseline::ReplicaPolicy::kWriteAll;
       baseline::TwoPcCluster cluster(&catalog, opts);
       cluster.Bootstrap();
-      workload::TwoPcAdapter adapter(&cluster);
-      workload::WorkloadDriver driver(&adapter, items, Mix(100 + n));
+      workload::WorkloadDriver driver(&cluster, items, Mix(100 + n));
       auto r = driver.Run(kRun);
       const net::NetworkStats& ns = cluster.network().stats();
       double commits = double(std::max<uint64_t>(1, r.committed()));

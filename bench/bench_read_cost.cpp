@@ -69,38 +69,9 @@ struct Outcome {
   friend bool operator==(const Outcome&, const Outcome&) = default;
 };
 
-/// One DvP run at the given mix; `snapshot` selects which read mode fills
-/// the mix's read share. Snapshot runs feed every commit to the history
-/// checker and validate both the full serializability replay and the
-/// snapshot-only cut oracle.
-Outcome RunDvp(double read_mix, uint64_t seed, bool snapshot) {
-  std::vector<ItemId> items;
-  core::Catalog catalog = MakeCountCatalog(kItems, kPerItem, &items);
-  system::ClusterOptions opts;
-  opts.num_sites = kSites;
-  opts.seed = seed;
-  opts.site.txn.timeout_us = 500'000;
-  system::Cluster cluster(&catalog, opts);
-  cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
-
-  workload::WorkloadOptions w;
-  w.arrivals_per_sec = kRate;
-  w.p_read = snapshot ? 0.0 : read_mix;
-  w.p_snapshot = snapshot ? read_mix : 0.0;
-  w.p_decrement = (1.0 - read_mix) / 2;
-  w.p_increment = (1.0 - read_mix) / 2;
-  w.seed = seed * 3 + Mille(read_mix);
-  workload::WorkloadDriver driver(&adapter, items, w);
-
-  verify::HistoryChecker checker(&catalog);
-  if (snapshot) {
-    driver.set_on_commit([&](TxnId id, const txn::TxnSpec& spec,
-                             const txn::TxnResult& r) {
-      checker.RecordCommitAt(adapter.Now(), id, spec, r);
-    });
-  }
-
+/// Runs `driver` to the horizon, tallying reads (full or snapshot) apart
+/// from writes — the same tally for both arms.
+Outcome Tally(workload::WorkloadDriver& driver) {
   Outcome out;
   Histogram read_latency, read_rounds;
   driver.set_on_decision([&](SiteId, const txn::TxnSpec& spec,
@@ -120,12 +91,46 @@ Outcome RunDvp(double read_mix, uint64_t seed, bool snapshot) {
       if (r.committed()) ++out.write_committed;
     }
   });
-
   auto results = driver.Run(kRun, kDrain);
   out.submitted = results.submitted;
   out.read_p50_us = read_latency.Median();
   out.read_p99_us = read_latency.P99();
   out.read_rounds_p50 = read_rounds.Median();
+  return out;
+}
+
+/// One DvP run at the given mix; `snapshot` selects which read mode fills
+/// the mix's read share. Snapshot runs feed every commit to the history
+/// checker and validate both the full serializability replay and the
+/// snapshot-only cut oracle.
+Outcome RunDvp(double read_mix, uint64_t seed, bool snapshot) {
+  std::vector<ItemId> items;
+  core::Catalog catalog = MakeCountCatalog(kItems, kPerItem, &items);
+  system::ClusterOptions opts;
+  opts.num_sites = kSites;
+  opts.seed = seed;
+  opts.site.txn.timeout_us = 500'000;
+  system::Cluster cluster(&catalog, opts);
+  cluster.BootstrapEven();
+
+  workload::WorkloadOptions w;
+  w.arrivals_per_sec = kRate;
+  w.p_read = snapshot ? 0.0 : read_mix;
+  w.p_snapshot = snapshot ? read_mix : 0.0;
+  w.p_decrement = (1.0 - read_mix) / 2;
+  w.p_increment = (1.0 - read_mix) / 2;
+  w.seed = seed * 3 + Mille(read_mix);
+  workload::WorkloadDriver driver(&cluster, items, w);
+
+  verify::HistoryChecker checker(&catalog);
+  if (snapshot) {
+    driver.set_on_commit([&](TxnId id, const txn::TxnSpec& spec,
+                             const txn::TxnResult& r) {
+      checker.RecordCommitAt(cluster.Now(), id, spec, r);
+    });
+  }
+
+  Outcome out = Tally(driver);
   CounterSet counters = cluster.AggregateCounters();
   out.msgs = counters.Get("net.sent");
   out.snap_unbalanced_rounds = counters.Get("snapshot.rounds.unbalanced");
@@ -160,7 +165,6 @@ Outcome RunTwoPc(double read_mix, uint64_t seed) {
   opts.policy = baseline::ReplicaPolicy::kQuorum;
   baseline::TwoPcCluster cluster(&catalog, opts);
   cluster.Bootstrap();
-  workload::TwoPcAdapter adapter(&cluster, "2PC quorum");
 
   workload::WorkloadOptions w;
   w.arrivals_per_sec = kRate;
@@ -168,29 +172,8 @@ Outcome RunTwoPc(double read_mix, uint64_t seed) {
   w.p_decrement = (1.0 - read_mix) / 2;
   w.p_increment = (1.0 - read_mix) / 2;
   w.seed = seed * 3 + Mille(read_mix);
-  workload::WorkloadDriver driver(&adapter, items, w);
-
-  Outcome out;
-  Histogram read_latency;
-  driver.set_on_decision([&](SiteId, const txn::TxnSpec& spec,
-                             const txn::TxnResult& r) {
-    if (spec.ops.front().kind == txn::TxnOp::Kind::kReadFull) {
-      if (r.committed()) {
-        ++out.read_committed;
-        read_latency.Add(double(r.latency_us));
-      } else {
-        ++out.read_aborted;
-      }
-    } else {
-      ++out.write_decided;
-      if (r.committed()) ++out.write_committed;
-    }
-  });
-  auto results = driver.Run(kRun, kDrain);
-  out.submitted = results.submitted;
-  out.read_p50_us = read_latency.Median();
-  out.read_p99_us = read_latency.P99();
-  return out;
+  workload::WorkloadDriver driver(&cluster, items, w);
+  return Tally(driver);
 }
 
 void Emit(JsonMetrics* m, const std::string& k, const Outcome& o) {

@@ -34,7 +34,6 @@ DvpRow RunDvp(SimTime workload_us, SimTime checkpoint_us) {
   opts.site.recovery_us_per_record = 50;  // pronounced, measurable redo cost
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
 
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 120;
@@ -44,7 +43,7 @@ DvpRow RunDvp(SimTime workload_us, SimTime checkpoint_us) {
   w.site_zipf_theta = 1.0;  // cross-site traffic → Vm records in the log
   w.increment_site_zipf_theta = 0.0;
   w.seed = 71;
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
   (void)driver.Run(workload_us, 1'000'000);
 
   DvpRow row;

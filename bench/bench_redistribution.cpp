@@ -86,7 +86,6 @@ void Main() {
       Status booted = cluster.Bootstrap(alloc);
       assert(booted.ok());
       (void)booted;
-      workload::DvpAdapter adapter(&cluster);
 
       workload::WorkloadOptions w;
       w.arrivals_per_sec = 120;
@@ -96,7 +95,7 @@ void Main() {
       w.site_zipf_theta = theta;
       w.increment_site_zipf_theta = 0.0;
       w.seed = 810 + uint64_t(theta * 10) + uint64_t(policy);
-      workload::WorkloadDriver driver(&adapter, items, w);
+      workload::WorkloadDriver driver(&cluster, items, w);
       auto results = driver.Run(kRun);
 
       CounterSet counters = cluster.AggregateCounters();
@@ -139,7 +138,6 @@ void Main() {
     std::map<ItemId, std::vector<core::Value>> alloc;
     alloc[items[0]] = MakeSplit(SplitPolicy::kEven, 1.4);
     (void)cluster.Bootstrap(alloc);
-    workload::DvpAdapter adapter(&cluster);
 
     workload::WorkloadOptions w;
     w.arrivals_per_sec = 120;
@@ -149,7 +147,7 @@ void Main() {
     w.site_zipf_theta = 1.4;
     w.increment_site_zipf_theta = 0.0;
     w.seed = 831;
-    workload::WorkloadDriver driver(&adapter, items, w);
+    workload::WorkloadDriver driver(&cluster, items, w);
     auto results = driver.Run(kRun);
 
     CounterSet counters = cluster.AggregateCounters();

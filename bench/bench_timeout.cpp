@@ -26,7 +26,6 @@ workload::WorkloadResults RunCell(SimTime timeout_us, SimTime delay_us,
   opts.link.jitter_mean_us = double(delay_us) / 2;
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
 
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 100;
@@ -36,7 +35,7 @@ workload::WorkloadResults RunCell(SimTime timeout_us, SimTime delay_us,
   w.site_zipf_theta = 1.2;  // heavy redistribution
   w.increment_site_zipf_theta = 0.0;
   w.seed = seed * 13 + 7;
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
   return driver.Run(kRun);
 }
 

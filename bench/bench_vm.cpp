@@ -41,7 +41,6 @@ void SweepLoss(JsonMetrics* metrics) {
     opts.link.duplicate_prob = 0.1;
     system::Cluster cluster(&catalog, opts);
     cluster.BootstrapEven();
-    workload::DvpAdapter adapter(&cluster);
 
     workload::WorkloadOptions w;
     w.arrivals_per_sec = 80;
@@ -52,7 +51,7 @@ void SweepLoss(JsonMetrics* metrics) {
     w.increment_site_zipf_theta = 0.0;  // ...while cancellations spread out,
                                         // so value continuously flows as Vm
     w.seed = 3000 + uint64_t(loss * 100);
-    workload::WorkloadDriver driver(&adapter, items, w);
+    workload::WorkloadDriver driver(&cluster, items, w);
     auto results = driver.Run(kRun, kDrainLong);
 
     uint64_t retrans = 0, dup_drops = 0, pure = 0, piggy = 0;

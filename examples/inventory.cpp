@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "system/cluster.h"
-#include "workload/adapter.h"
 #include "workload/generator.h"
 
 using namespace dvp;
@@ -25,7 +24,6 @@ int main() {
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
 
-  workload::DvpAdapter adapter(&cluster);
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 300;   // allocations/restocks across all sites
   w.p_decrement = 0.55;       // ship units
@@ -36,7 +34,7 @@ int main() {
   w.item_zipf_theta = 0.9;    // widget is the hot spot
   w.seed = 4242;
   std::vector<ItemId> items{sku, sku2};
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
 
   // Crash site 2 at t=6s; recover it at t=12s and report what recovery did.
   cluster.kernel().ScheduleAt(6'000'000, [&cluster]() {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "system/cluster.h"
-#include "workload/adapter.h"
 #include "workload/generator.h"
 
 using namespace dvp;
@@ -160,7 +159,6 @@ int main(int argc, char** argv) {
   }
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
 
   // Fault schedule.
   if (!flags.partition.empty()) {
@@ -212,7 +210,7 @@ int main(int argc, char** argv) {
   w.p_increment = flags.inc_mix;
   w.site_zipf_theta = flags.site_skew;
   w.seed = flags.seed * 3 + 1;
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
 
   std::cout << "running " << flags.duration_s << "s of virtual time on "
             << flags.sites << " sites (" << flags.scheme << ", "

@@ -45,7 +45,7 @@ struct PrimaryCopyCluster::SiteState {
     p.src = id;
     p.dst = dst;
     p.payload = std::move(payload);
-    owner->network_->Send(std::move(p));
+    owner->network().Send(std::move(p));
   }
 
   /// Executes a transaction locally (this site is the primary).
@@ -111,7 +111,7 @@ struct PrimaryCopyCluster::SiteState {
       result.status =
           rep->committed ? Status::OK() : Status::Aborted(rep->message);
       result.read_values = rep->read_values;
-      result.latency_us = owner->kernel_.Now() - w.start;
+      result.latency_us = owner->Now() - w.start;
       owner->decision_latency_.Add(static_cast<double>(result.latency_us));
       if (w.cb) w.cb(result);
     }
@@ -120,18 +120,17 @@ struct PrimaryCopyCluster::SiteState {
 
 PrimaryCopyCluster::PrimaryCopyCluster(const core::Catalog* catalog,
                                        PrimaryCopyOptions options)
-    : catalog_(catalog), options_(options), rng_(options.seed) {
-  network_ = std::make_unique<net::Network>(&kernel_, options_.num_sites,
-                                            options_.link, rng_.Fork(1));
+    : world::SimWorld(options.num_sites, options.seed, options.link),
+      catalog_(catalog),
+      options_(options) {
   for (uint32_t s = 0; s < options_.num_sites; ++s) {
-    storages_.push_back(std::make_unique<wal::StableStorage>(SiteId(s)));
     auto state = std::make_unique<SiteState>();
     state->owner = this;
     state->id = SiteId(s);
-    state->storage = storages_.back().get();
+    state->storage = &storage(SiteId(s));
     sites_.push_back(std::move(state));
     SiteState* raw = sites_.back().get();
-    network_->RegisterEndpoint(
+    network().RegisterEndpoint(
         SiteId(s),
         [raw](const net::Packet& packet) {
           if (raw->up && packet.payload) {
@@ -193,10 +192,10 @@ StatusOr<TxnId> PrimaryCopyCluster::Submit(SiteId at, const txn::TxnSpec& spec,
 
   SiteState::Waiting w;
   w.cb = std::move(cb);
-  w.start = kernel_.Now();
+  w.start = Now();
   uint64_t gen = s.generation;
   SiteState* raw = &s;
-  w.timer = kernel_.Schedule(options_.request_timeout_us, [raw, gen, txn]() {
+  w.timer = kernel().Schedule(options_.request_timeout_us, [raw, gen, txn]() {
     if (gen != raw->generation) return;
     auto it = raw->waiting.find(txn);
     if (it == raw->waiting.end()) return;
@@ -207,21 +206,12 @@ StatusOr<TxnId> PrimaryCopyCluster::Submit(SiteId at, const txn::TxnSpec& spec,
     result.id = txn;
     result.outcome = txn::TxnOutcome::kAbortTimeout;
     result.status = Status::Timeout("primary unreachable; outcome unknown");
-    result.latency_us = raw->owner->kernel_.Now() - w.start;
+    result.latency_us = raw->owner->Now() - w.start;
     if (w.cb) w.cb(result);
   });
   s.waiting.emplace(txn, std::move(w));
   return txn;
 }
-
-void PrimaryCopyCluster::RunFor(SimTime us) { kernel_.Run(kernel_.Now() + us); }
-SimTime PrimaryCopyCluster::Now() const { return kernel_.Now(); }
-
-Status PrimaryCopyCluster::Partition(
-    const std::vector<std::vector<SiteId>>& groups) {
-  return network_->partition().Split(groups);
-}
-void PrimaryCopyCluster::Heal() { network_->partition().Heal(); }
 
 void PrimaryCopyCluster::CrashSite(SiteId s) {
   SiteState& st = *sites_[s.value()];
@@ -266,7 +256,7 @@ core::Value PrimaryCopyCluster::PrimaryValue(ItemId item) const {
   return it == st.values.end() ? 0 : it->second;
 }
 
-CounterSet PrimaryCopyCluster::AggregateCounters() const {
+CounterSet PrimaryCopyCluster::SiteCounters() const {
   CounterSet out;
   for (const auto& s : sites_) out.Merge(s->counters);
   return out;

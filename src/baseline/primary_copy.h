@@ -4,7 +4,8 @@
 // but availability collapses to "can you reach the primary": a partition
 // makes the item unusable for every other group, and a primary crash makes
 // it unusable for everyone (no election protocol — §2.2's "a primary copy
-// site fails" caveat).
+// site fails" caveat). It runs on world::SimWorld, the substrate DvP runs
+// on, so measured differences are protocol, not harness.
 #pragma once
 
 #include <functional>
@@ -13,14 +14,11 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dvpcore/catalog.h"
-#include "net/network.h"
-#include "sim/kernel.h"
 #include "txn/txn.h"
-#include "wal/stable_storage.h"
+#include "world/sim_world.h"
 
 namespace dvp::baseline {
 
@@ -32,7 +30,7 @@ struct PrimaryCopyOptions {
   SimTime request_timeout_us = 300'000;
 };
 
-class PrimaryCopyCluster {
+class PrimaryCopyCluster final : public world::SimWorld {
  public:
   PrimaryCopyCluster(const core::Catalog* catalog, PrimaryCopyOptions options);
   ~PrimaryCopyCluster();
@@ -49,31 +47,21 @@ class PrimaryCopyCluster {
   /// transaction must share a primary (cross-primary transactions would need
   /// 2PC, which is the other baseline).
   StatusOr<TxnId> Submit(SiteId at, const txn::TxnSpec& spec,
-                         txn::TxnCallback cb);
+                         txn::TxnCallback cb) override;
 
-  void RunFor(SimTime us);
-  SimTime Now() const;
-  Status Partition(const std::vector<std::vector<SiteId>>& groups);
-  void Heal();
   void CrashSite(SiteId s);
   void RecoverSite(SiteId s);
 
   core::Value PrimaryValue(ItemId item) const;
-  CounterSet AggregateCounters() const;
   const Histogram& decision_latency() const { return decision_latency_; }
-  uint32_t num_sites() const { return options_.num_sites; }
-  sim::Kernel& kernel() { return kernel_; }
-  net::Network& network() { return *network_; }
 
  private:
   struct SiteState;
 
+  CounterSet SiteCounters() const override;
+
   const core::Catalog* catalog_;
   PrimaryCopyOptions options_;
-  sim::Kernel kernel_;
-  Rng rng_;
-  std::unique_ptr<net::Network> network_;
-  std::vector<std::unique_ptr<wal::StableStorage>> storages_;
   std::vector<std::unique_ptr<SiteState>> sites_;
   Histogram decision_latency_;
 };

@@ -118,7 +118,7 @@ struct TwoPcCluster::SiteState {
     p.src = id;
     p.dst = dst;
     p.payload = std::move(payload);
-    owner->network_->Send(std::move(p));
+    owner->network().Send(std::move(p));
   }
 
   void OnEnvelope(SiteId from, const net::EnvelopePtr& payload);
@@ -142,18 +142,17 @@ struct TwoPcCluster::SiteState {
 // ---- Cluster ---------------------------------------------------------------
 
 TwoPcCluster::TwoPcCluster(const core::Catalog* catalog, TwoPcOptions options)
-    : catalog_(catalog), options_(options), rng_(options.seed) {
-  network_ = std::make_unique<net::Network>(&kernel_, options_.num_sites,
-                                            options_.link, rng_.Fork(1));
+    : world::SimWorld(options.num_sites, options.seed, options.link),
+      catalog_(catalog),
+      options_(options) {
   for (uint32_t s = 0; s < options_.num_sites; ++s) {
-    storages_.push_back(std::make_unique<wal::StableStorage>(SiteId(s)));
     auto state = std::make_unique<SiteState>();
     state->owner = this;
     state->id = SiteId(s);
-    state->storage = storages_.back().get();
+    state->storage = &storage(SiteId(s));
     sites_.push_back(std::move(state));
     SiteState* raw = sites_.back().get();
-    network_->RegisterEndpoint(
+    network().RegisterEndpoint(
         SiteId(s),
         [raw](const net::Packet& packet) {
           if (raw->up && packet.payload) {
@@ -192,14 +191,6 @@ StatusOr<TxnId> TwoPcCluster::Submit(SiteId at, const txn::TxnSpec& spec,
   s.StartTxn(spec, std::move(cb), txn);
   return txn;
 }
-
-void TwoPcCluster::RunFor(SimTime us) { kernel_.Run(kernel_.Now() + us); }
-SimTime TwoPcCluster::Now() const { return kernel_.Now(); }
-
-Status TwoPcCluster::Partition(const std::vector<std::vector<SiteId>>& groups) {
-  return network_->partition().Split(groups);
-}
-void TwoPcCluster::Heal() { network_->partition().Heal(); }
 
 void TwoPcCluster::CrashSite(SiteId s) { state(s).Crash(); }
 
@@ -242,7 +233,7 @@ uint32_t TwoPcCluster::BlockedParticipants() const {
   return n;
 }
 
-CounterSet TwoPcCluster::AggregateCounters() const {
+CounterSet TwoPcCluster::SiteCounters() const {
   CounterSet out;
   for (const auto& s : sites_) out.Merge(s->counters);
   return out;
@@ -275,7 +266,7 @@ void TwoPcCluster::SiteState::StartTxn(const txn::TxnSpec& spec,
   auto& coord = coords[txn];
   coord.spec = spec;
   coord.cb = std::move(cb);
-  coord.start = owner->kernel_.Now();
+  coord.start = owner->Now();
   counters.Inc("2pc.txn.started");
 
   std::vector<ItemId> items;
@@ -290,7 +281,7 @@ void TwoPcCluster::SiteState::StartTxn(const txn::TxnSpec& spec,
   }
 
   uint64_t gen = generation;
-  coord.timer = owner->kernel_.Schedule(
+  coord.timer = owner->kernel().Schedule(
       owner->options_.coordinator_timeout_us, [this, gen, txn]() {
         if (gen != generation) return;
         auto it = coords.find(txn);
@@ -328,7 +319,7 @@ void TwoPcCluster::SiteState::OnLockReq(SiteId from, const LockReqMsg& msg) {
   // may unilaterally release (it has promised nothing yet).
   uint64_t gen = generation;
   TxnId txn = msg.txn;
-  p.timer = owner->kernel_.Schedule(
+  p.timer = owner->kernel().Schedule(
       2 * owner->options_.coordinator_timeout_us, [this, gen, txn]() {
         if (gen != generation) return;
         auto it = parts.find(txn);
@@ -440,7 +431,7 @@ void TwoPcCluster::SiteState::OnPrepareReq(SiteId from,
   if (!p.prepared) {
     p.writes = msg.writes;
     p.prepared = true;
-    p.prepared_at = owner->kernel_.Now();
+    p.prepared_at = owner->Now();
     p.timer.Cancel();
     storage->Append(
         wal::LogRecord(wal::PrepareRec{msg.txn, msg.coordinator, msg.writes}));
@@ -491,7 +482,7 @@ void TwoPcCluster::SiteState::Decide(TxnId txn, bool commit,
   result.outcome = outcome;
   result.status = commit ? Status::OK() : Status::Aborted(why);
   result.read_values = c.read_values;
-  result.latency_us = owner->kernel_.Now() - c.start;
+  result.latency_us = owner->Now() - c.start;
   owner->decision_latency_.Add(static_cast<double>(result.latency_us));
 
   auto decision = std::make_shared<DecisionMsg>();
@@ -532,7 +523,7 @@ void TwoPcCluster::SiteState::OnDecision(const DecisionMsg& msg) {
   Participant& p = it->second;
   if (p.prepared) {
     owner->blocked_time_.Add(
-        static_cast<double>(owner->kernel_.Now() - p.prepared_at));
+        static_cast<double>(owner->Now() - p.prepared_at));
     if (p.in_doubt_after_recovery) ResolveInDoubt(msg.txn);
   }
   if (msg.committed) ApplyWrites(p.writes);
@@ -563,7 +554,7 @@ void TwoPcCluster::SiteState::ArmParticipantPoll(TxnId txn) {
   uint64_t gen = generation;
   auto it = parts.find(txn);
   if (it == parts.end()) return;
-  it->second.timer = owner->kernel_.Schedule(
+  it->second.timer = owner->kernel().Schedule(
       owner->options_.decision_retry_us, [this, gen, txn]() {
         if (gen != generation) return;
         auto pit = parts.find(txn);
@@ -603,7 +594,7 @@ void TwoPcCluster::SiteState::Crash() {
       result.id = txn;
       result.outcome = txn::TxnOutcome::kAbortSiteFailure;
       result.status = Status::Unavailable("coordinator crashed");
-      result.latency_us = owner->kernel_.Now() - c.start;
+      result.latency_us = owner->Now() - c.start;
       c.cb(result);
     }
   }
@@ -662,7 +653,7 @@ void TwoPcCluster::SiteState::Recover(std::function<void(uint64_t)> done) {
     (void)relocked;
     p.prepared = true;
     p.in_doubt_after_recovery = true;
-    p.prepared_at = owner->kernel_.Now();
+    p.prepared_at = owner->Now();
     ++in_doubt;
 
     auto req = std::make_shared<DecisionReqMsg>();

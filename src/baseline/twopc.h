@@ -30,14 +30,11 @@
 
 #include "cc/lock_manager.h"
 #include "common/histogram.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dvpcore/catalog.h"
-#include "net/network.h"
-#include "sim/kernel.h"
 #include "txn/txn.h"
-#include "wal/stable_storage.h"
+#include "world/sim_world.h"
 
 namespace dvp::baseline {
 
@@ -56,10 +53,10 @@ struct TwoPcOptions {
   SimTime decision_retry_us = 100'000;
 };
 
-/// A full replicated-data 2PC cluster sharing the DvP substrate (kernel,
-/// network fault model, stable logs), so measured differences are protocol,
-/// not harness.
-class TwoPcCluster {
+/// A full replicated-data 2PC cluster on world::SimWorld, the substrate DvP
+/// runs on (kernel, network fault model, stable logs), so measured
+/// differences are protocol, not harness.
+class TwoPcCluster final : public world::SimWorld {
  public:
   TwoPcCluster(const core::Catalog* catalog, TwoPcOptions options);
   ~TwoPcCluster();
@@ -73,22 +70,13 @@ class TwoPcCluster {
   /// Submits a transaction with `at` as coordinator. Reads take a quorum of
   /// exclusive locks too (single lock mode, like the DvP side).
   StatusOr<TxnId> Submit(SiteId at, const txn::TxnSpec& spec,
-                         txn::TxnCallback cb);
+                         txn::TxnCallback cb) override;
 
-  void RunFor(SimTime us);
-  SimTime Now() const;
-
-  Status Partition(const std::vector<std::vector<SiteId>>& groups);
-  void Heal();
   void CrashSite(SiteId s);
   /// Recovery: redo from log; in-doubt transactions re-block and interrogate
   /// their coordinators. Fires `done` with the number of remote messages the
   /// site had to send before all items became available again.
   void RecoverSite(SiteId s, std::function<void(uint64_t)> done = nullptr);
-
-  uint32_t num_sites() const { return options_.num_sites; }
-  net::Network& network() { return *network_; }
-  sim::Kernel& kernel() { return kernel_; }
 
   /// Value of the replica at one site (requires the site up).
   core::Value ReplicaValue(SiteId s, ItemId item) const;
@@ -100,7 +88,6 @@ class TwoPcCluster {
   /// Number of participants currently blocked.
   uint32_t BlockedParticipants() const;
 
-  CounterSet AggregateCounters() const;
   /// Time participants spent inside the uncertainty window (per episode).
   const Histogram& blocked_time() const { return blocked_time_; }
   /// Commit/abort decision latency at the coordinator.
@@ -112,13 +99,10 @@ class TwoPcCluster {
 
   uint32_t QuorumSize() const;
   SiteState& state(SiteId s) { return *sites_[s.value()]; }
+  CounterSet SiteCounters() const override;
 
   const core::Catalog* catalog_;
   TwoPcOptions options_;
-  sim::Kernel kernel_;
-  Rng rng_;
-  std::unique_ptr<net::Network> network_;
-  std::vector<std::unique_ptr<wal::StableStorage>> storages_;
   std::vector<std::unique_ptr<SiteState>> sites_;
   Histogram blocked_time_;
   Histogram decision_latency_;

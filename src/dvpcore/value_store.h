@@ -44,16 +44,18 @@ class ValueStore {
     if (observer_) observer_(item);
   }
 
-  /// Fragment view; an item never written here reads as the domain identity.
-  /// Out-of-catalog ids are a caller bug: debug builds assert, release
-  /// builds return an inert zero fragment instead of indexing out of bounds
-  /// (the old dense store did `fragments_[item.value()]` unchecked — silent
-  /// UB exactly in the builds where the assert was gone).
-  const Fragment& fragment(ItemId item) const {
-    if (!InCatalog(item)) return kOutOfCatalog;
+  /// Fragment view, by value; an item never written here reads as the
+  /// domain identity with a zero timestamp, and reading it inserts nothing
+  /// (only writes materialise). Out-of-catalog ids are a caller bug: debug
+  /// builds assert, release builds return an inert zero fragment instead of
+  /// indexing out of bounds (the old dense store did
+  /// `fragments_[item.value()]` unchecked — silent UB exactly in the builds
+  /// where the assert was gone).
+  Fragment fragment(ItemId item) const {
+    if (!InCatalog(item)) return Fragment{};
     auto it = fragments_.find(item.value());
     if (it != fragments_.end()) return it->second;
-    return Materialize(item);
+    return Fragment{catalog_->domain(item).Identity(), Timestamp::Zero()};
   }
   Value value(ItemId item) const { return fragment(item).value; }
   Timestamp ts(ItemId item) const { return fragment(item).ts; }
@@ -97,7 +99,7 @@ class ValueStore {
   }
   /// Creates the fragment at its domain identity on first touch. References
   /// stay stable across inserts (node-based map).
-  Fragment& Materialize(ItemId item) const {
+  Fragment& Materialize(ItemId item) {
     auto [it, inserted] = fragments_.try_emplace(item.value());
     if (inserted) {
       it->second.value = catalog_->domain(item).Identity();
@@ -106,11 +108,9 @@ class ValueStore {
   }
 
   const Catalog* catalog_;
-  /// Lazily materialised; mutable so const reads can cache the identity
-  /// fragment they would otherwise have to fabricate per call.
-  mutable std::unordered_map<uint32_t, Fragment> fragments_;
+  /// Materialised by the first write (Install, SetValue, SetTs).
+  std::unordered_map<uint32_t, Fragment> fragments_;
   std::function<void(ItemId)> observer_;
-  static const Fragment kOutOfCatalog;
 };
 
 }  // namespace dvp::core

@@ -185,7 +185,7 @@ void Site::Checkpoint() {
   }
   std::sort(resident.begin(), resident.end());
   for (uint32_t i : resident) {
-    const core::Fragment& frag = store_->fragment(ItemId(i));
+    const core::Fragment frag = store_->fragment(ItemId(i));
     storage_->WriteImage(ItemId(i), frag.value, frag.ts.packed());
   }
   // The marker goes in first so the watermark covers it: a checkpoint

@@ -5,43 +5,68 @@
 
 namespace dvp::system {
 
-std::vector<core::Value> SplitEven(core::Value total, uint32_t n) {
-  assert(n > 0);
-  std::vector<core::Value> out(n, total / n);
+namespace {
+
+/// Share `i` of SplitEven(total, n), without building the other n - 1.
+core::Value EvenShare(core::Value total, uint32_t n, uint32_t i) {
+  assert(n > 0 && i < n);
+  // Floor division, so the remainder is in [0, n) for either sign of total.
+  core::Value share = total / n;
   core::Value remainder = total % n;
-  for (uint32_t i = 0; i < remainder; ++i) ++out[i];
+  if (remainder < 0) {
+    --share;
+    remainder += n;
+  }
+  return i < remainder ? share + 1 : share;
+}
+
+}  // namespace
+
+std::vector<core::Value> SplitEven(core::Value total, uint32_t n) {
+  std::vector<core::Value> out(n);
+  for (uint32_t i = 0; i < n; ++i) out[i] = EvenShare(total, n, i);
   return out;
 }
 
+void BootEven(const core::Catalog& catalog,
+              const std::vector<std::unique_ptr<site::Site>>& sites) {
+  const uint32_t n = static_cast<uint32_t>(sites.size());
+  // One site's slice at a time: holding every slice at once interleaves
+  // their nodes in the heap, which made a 100k-item, 3-site boot slower and
+  // its peak memory higher.
+  for (uint32_t s = 0; s < n; ++s) {
+    std::map<ItemId, core::Value> slice;
+    for (uint32_t i = 0; i < catalog.num_items(); ++i) {
+      core::Value total = catalog.info(ItemId(i)).initial_total;
+      slice.emplace_hint(slice.end(), ItemId(i), EvenShare(total, n, s));
+    }
+    sites[s]->Bootstrap(slice);
+  }
+}
+
 Cluster::Cluster(const core::Catalog* catalog, ClusterOptions options)
-    : catalog_(catalog), options_(options), rng_(options.seed) {
-  kernel_.EnablePerturbation(options_.perturb);
+    : world::SimWorld(options.num_sites, options.seed, options.link,
+                      options.perturb),
+      catalog_(catalog),
+      options_(options) {
   // Bind the shared trace recorder (if any) to this cluster's virtual clock
   // so every component's events carry the simulation timestamp.
-  if (options_.site.trace) options_.site.trace->Attach(&kernel_);
-  network_ = std::make_unique<net::Network>(&kernel_, options_.num_sites,
-                                            options_.link, rng_.Fork(1));
-  storages_.reserve(options_.num_sites);
+  if (options_.site.trace) options_.site.trace->Attach(&kernel());
   sites_.reserve(options_.num_sites);
   for (uint32_t s = 0; s < options_.num_sites; ++s) {
-    storages_.push_back(std::make_unique<wal::StableStorage>(SiteId(s)));
     sites_.push_back(std::make_unique<site::Site>(
-        SiteId(s), &kernel_, network_.get(), storages_.back().get(), catalog_,
-        rng_.Fork(100 + s), options_.site));
+        SiteId(s), &kernel(), &network(), &storage(SiteId(s)), catalog_,
+        SiteRng(SiteId(s)), options_.site));
   }
 }
 
 Cluster::~Cluster() = default;
 
 void Cluster::BootstrapEven() {
-  std::map<ItemId, std::vector<core::Value>> alloc;
-  for (ItemId item : catalog_->AllItems()) {
-    alloc[item] = SplitEven(catalog_->info(item).initial_total,
-                            options_.num_sites);
-  }
-  Status s = Bootstrap(alloc);
-  assert(s.ok());
-  (void)s;
+  assert(!booted_);
+  if (booted_) return;  // release-build guard
+  BootEven(*catalog_, sites_);
+  booted_ = true;
 }
 
 void Cluster::BootstrapHomed() {
@@ -94,35 +119,9 @@ StatusOr<TxnId> Cluster::Submit(SiteId at, const txn::TxnSpec& spec,
   return sites_[at.value()]->Submit(spec, std::move(cb));
 }
 
-void Cluster::RunFor(SimTime us) { kernel_.Run(kernel_.Now() + us); }
-
-void Cluster::RunUntilQuiescent(SimTime max_us) {
-  // Unlike RunFor, the clock is left at the last executed event when the
-  // queue drains before the deadline — "how long did this actually take".
-  SimTime deadline = kernel_.Now() + max_us;
-  while (kernel_.NextEventTime() <= deadline) {
-    if (!kernel_.Step()) break;
-  }
-}
-
-SimTime Cluster::Now() const { return kernel_.Now(); }
-
-Status Cluster::Partition(const std::vector<std::vector<SiteId>>& groups) {
-  return network_->partition().Split(groups);
-}
-
-void Cluster::Heal() { network_->partition().Heal(); }
-
 void Cluster::CrashSite(SiteId s) { sites_[s.value()]->Crash(); }
 
 void Cluster::RecoverSite(SiteId s) { sites_[s.value()]->Recover(); }
-
-std::vector<const wal::StableStorage*> Cluster::Storages() const {
-  std::vector<const wal::StableStorage*> out;
-  out.reserve(storages_.size());
-  for (const auto& s : storages_) out.push_back(s.get());
-  return out;
-}
 
 verify::ConservationBreakdown Cluster::Audit(ItemId item) const {
   return verify::AuditItem(Storages(), *catalog_, item);
@@ -144,18 +143,9 @@ Status Cluster::AuditAllVolatile() const {
   return verify::AuditAll(Storages(), *catalog_, LiveView());
 }
 
-CounterSet Cluster::AggregateCounters() const {
+CounterSet Cluster::SiteCounters() const {
   CounterSet out;
   for (const auto& s : sites_) out.Merge(s->counters());
-  const net::NetworkStats& ns = network_->stats();
-  out.Inc("net.sent", ns.packets_sent);
-  out.Inc("net.delivered", ns.packets_delivered);
-  out.Inc("net.lost_link", ns.packets_lost_link);
-  out.Inc("net.lost_partition", ns.packets_lost_partition);
-  out.Inc("net.lost_down", ns.packets_lost_down);
-  out.Inc("net.duplicated", ns.packets_duplicated);
-  out.Inc("net.bytes_sent", ns.bytes_sent);
-  out.Inc("net.bytes_delivered", ns.bytes_delivered);
   return out;
 }
 

@@ -1,6 +1,7 @@
-// Public facade: a complete DvP system — n sites, a fault-modelled network,
-// stable storage per site — plus fault-injection and measurement hooks. This
-// is the API the examples and benchmarks program against.
+// Public facade: a complete DvP system — n DvP sites on the shared simulated
+// substrate (world::SimWorld: kernel, fault-modelled network, stable storage
+// per site) — plus fault-injection and measurement hooks. This is the API the
+// examples and benchmarks program against.
 //
 // Typical use (the paper's §3 airline example):
 //
@@ -18,16 +19,14 @@
 #include <memory>
 #include <vector>
 
-#include "common/histogram.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "dvpcore/catalog.h"
-#include "net/network.h"
+#include "net/link.h"
 #include "sim/kernel.h"
 #include "site/site.h"
 #include "verify/conservation.h"
-#include "wal/stable_storage.h"
+#include "world/sim_world.h"
 
 namespace dvp::system {
 
@@ -49,7 +48,7 @@ struct ClusterOptions {
   }
 };
 
-class Cluster {
+class Cluster final : public world::SimWorld {
  public:
   Cluster(const core::Catalog* catalog, ClusterOptions options);
   ~Cluster();
@@ -59,8 +58,8 @@ class Cluster {
 
   // ---- Initial allocation ---------------------------------------------------
 
-  /// Splits every item's initial total evenly across sites (remainder to the
-  /// lowest site ids) and boots every site.
+  /// Splits every item's initial total evenly across sites (SplitEven) and
+  /// boots every site.
   void BootstrapEven();
 
   /// Boots with an explicit per-item, per-site allocation. Each vector must
@@ -79,33 +78,18 @@ class Cluster {
 
   /// Submits a transaction at `at`. Fails fast if the site is down.
   StatusOr<TxnId> Submit(SiteId at, const txn::TxnSpec& spec,
-                         txn::TxnCallback cb);
+                         txn::TxnCallback cb) override;
 
-  /// Advances virtual time by `us`.
-  void RunFor(SimTime us);
-  /// Runs until the event queue drains or `max_us` elapses.
-  void RunUntilQuiescent(SimTime max_us);
-  SimTime Now() const;
+  // ---- Fault injection (Partition and Heal: SimWorld) -------------------------
 
-  // ---- Fault injection --------------------------------------------------------
-
-  Status Partition(const std::vector<std::vector<SiteId>>& groups);
-  void Heal();
   void CrashSite(SiteId s);
   void RecoverSite(SiteId s);
 
   // ---- Introspection ----------------------------------------------------------
 
-  uint32_t num_sites() const { return options_.num_sites; }
   site::Site& site(SiteId s) { return *sites_[s.value()]; }
   const site::Site& site(SiteId s) const { return *sites_[s.value()]; }
-  wal::StableStorage& storage(SiteId s) { return *storages_[s.value()]; }
-  sim::Kernel& kernel() { return kernel_; }
-  net::Network& network() { return *network_; }
   const core::Catalog& catalog() const { return *catalog_; }
-
-  /// Every site's stable storage, for the auditors.
-  std::vector<const wal::StableStorage*> Storages() const;
 
   /// Durable conservation breakdown for one item.
   verify::ConservationBreakdown Audit(ItemId item) const;
@@ -126,21 +110,23 @@ class Cluster {
   /// Current durable item total (fragments + in-flight).
   core::Value TotalOf(ItemId item) const { return Audit(item).total(); }
 
-  /// Sum of all sites' counters plus network statistics.
-  CounterSet AggregateCounters() const;
-
  private:
+  CounterSet SiteCounters() const override;
+
   const core::Catalog* catalog_;
   ClusterOptions options_;
-  sim::Kernel kernel_;
-  Rng rng_;
-  std::unique_ptr<net::Network> network_;
-  std::vector<std::unique_ptr<wal::StableStorage>> storages_;
   std::vector<std::unique_ptr<site::Site>> sites_;
   bool booted_ = false;
 };
 
-/// Splits `total` into `n` non-negative shares, remainder to low indices.
+/// Splits `total` into `n` shares that sum to `total` and differ by at most
+/// one; the larger shares go to the low indices.
 std::vector<core::Value> SplitEven(core::Value total, uint32_t n);
+
+/// Boots every site with its SplitEven share of every item: the allocation
+/// behind both facades' BootstrapEven. Each site computes only its own
+/// share, so a boot costs O(items × sites) with no per-item share vector.
+void BootEven(const core::Catalog& catalog,
+              const std::vector<std::unique_ptr<site::Site>>& sites);
 
 }  // namespace dvp::system

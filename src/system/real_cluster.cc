@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "system/cluster.h"
@@ -41,14 +40,7 @@ RealCluster::~RealCluster() { Stop(); }
 void RealCluster::BootstrapEven() {
   assert(!real_->loop(SiteId(0)).running() &&
          "bootstrap must precede Start()");
-  for (uint32_t s = 0; s < options_.num_sites; ++s) {
-    std::map<ItemId, core::Value> per_site;
-    for (ItemId item : catalog_->AllItems()) {
-      per_site[item] = SplitEven(catalog_->info(item).initial_total,
-                                 options_.num_sites)[s];
-    }
-    sites_[s]->Bootstrap(per_site);
-  }
+  BootEven(*catalog_, sites_);
 }
 
 void RealCluster::Start() { real_->Start(); }

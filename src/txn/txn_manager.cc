@@ -587,7 +587,7 @@ void TxnManager::OnRequest(SiteId from, const proto::RequestMsg& msg) {
       continue;
     }
 
-    const core::Fragment& frag = store_->fragment(part.item);
+    const core::Fragment frag = store_->fragment(part.item);
     const core::Domain& domain = store_->catalog().domain(part.item);
 
     if (part.read_all) {
@@ -819,7 +819,7 @@ void TxnManager::OnSnapshotReq(SiteId from, const proto::SnapshotReqMsg& msg) {
   reply->trace_id = msg.trace_id;
   for (ItemId item : msg.items) {
     if (item.value() >= store_->num_items()) continue;
-    const core::Fragment& frag = store_->fragment(item);
+    const core::Fragment frag = store_->fragment(item);
     const vm::VmManager::ItemLedger& led = vm_->ledger(item);
     proto::SnapshotEntry e;
     e.item = item;
@@ -1008,7 +1008,7 @@ void TxnManager::Commit(PendingTxn& t) {
   result.rounds = t.rounds;
 
   for (const TxnOp& op : t.spec.ops) {
-    const core::Fragment& frag = store_->fragment(op.item);
+    const core::Fragment frag = store_->fragment(op.item);
     switch (op.kind) {
       case TxnOp::Kind::kIncrement:
         rec.writes.push_back(wal::FragmentWrite{

@@ -88,7 +88,7 @@ uint64_t VmManager::ClosedBelowFor(SiteId dst) const {
 
 VmId VmManager::CreateVm(SiteId dst, ItemId item, core::Value amount,
                          TxnId for_txn, bool is_read_reply, uint32_t round) {
-  const core::Fragment& frag = store_->fragment(item);
+  const core::Fragment frag = store_->fragment(item);
   assert(amount >= 0 && "Vm amounts are non-negative shares of the value");
   assert(store_->catalog().domain(item).ValidFragment(frag.value - amount));
 
@@ -181,7 +181,7 @@ core::Value VmManager::DoAccept(const proto::VmTransferMsg& msg,
     if (!IsUnforcedAccept(msg.vm)) SendAck(msg.vm, msg.src, msg.trace_id);
     return 0;
   }
-  const core::Fragment& frag = store_->fragment(msg.item);
+  const core::Fragment frag = store_->fragment(msg.item);
 
   // An unlocked acceptance is an implicit Rds transaction; under Conc1 it
   // stamps the fragment so that no transaction older than the value's causal

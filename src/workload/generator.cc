@@ -4,16 +4,16 @@
 
 namespace dvp::workload {
 
-WorkloadDriver::WorkloadDriver(SystemAdapter* adapter,
+WorkloadDriver::WorkloadDriver(world::SimWorld* world,
                                const std::vector<ItemId>& items,
                                WorkloadOptions options)
-    : adapter_(adapter),
+    : world_(world),
       items_(items),
       options_(options),
       rng_(options.seed),
       item_zipf_(items.empty() ? 1 : items.size(), options.item_zipf_theta),
-      site_zipf_(adapter->num_sites(), options.site_zipf_theta),
-      increment_site_zipf_(adapter->num_sites(),
+      site_zipf_(world->num_sites(), options.site_zipf_theta),
+      increment_site_zipf_(world->num_sites(),
                            options.increment_site_zipf_theta >= 0
                                ? options.increment_site_zipf_theta
                                : options.site_zipf_theta) {
@@ -69,7 +69,7 @@ void WorkloadDriver::SubmitOne() {
   txn::TxnSpec spec = MakeSpec(rng_);
   SiteId at = PickSite(rng_, spec);
   ++results_.submitted;
-  auto submitted = adapter_->Submit(
+  auto submitted = world_->Submit(
       at, spec, [this, at, spec](const txn::TxnResult& r) {
         ++results_.outcomes[r.outcome];
         results_.decision_latency_us.Add(static_cast<double>(r.latency_us));
@@ -91,9 +91,9 @@ void WorkloadDriver::SubmitOne() {
 void WorkloadDriver::ScheduleNextArrival(SimTime horizon_end) {
   double mean_gap_us = 1e6 / options_.arrivals_per_sec;
   SimTime gap = static_cast<SimTime>(rng_.NextExponential(mean_gap_us)) + 1;
-  SimTime when = adapter_->Now() + gap;
+  SimTime when = world_->Now() + gap;
   if (when >= horizon_end) return;
-  adapter_->kernel().ScheduleAt(when, [this, horizon_end]() {
+  world_->kernel().ScheduleAt(when, [this, horizon_end]() {
     SubmitOne();
     ScheduleNextArrival(horizon_end);
   });
@@ -101,10 +101,10 @@ void WorkloadDriver::ScheduleNextArrival(SimTime horizon_end) {
 
 WorkloadResults WorkloadDriver::Run(SimTime duration_us, SimTime drain_us) {
   results_ = WorkloadResults{};
-  SimTime end = adapter_->Now() + duration_us;
+  SimTime end = world_->Now() + duration_us;
   ScheduleNextArrival(end);
-  adapter_->RunFor(duration_us);
-  adapter_->RunFor(drain_us);
+  world_->RunFor(duration_us);
+  world_->RunFor(drain_us);
   return results_;
 }
 

@@ -1,7 +1,7 @@
 // Open-loop workload generation: Poisson arrivals of a reserve/cancel/read
-// mix against any SystemAdapter, with Zipf skew over items and over sites,
-// collecting per-outcome counts and latency histograms. This is the engine
-// behind every experiment's load.
+// mix against any world::SimWorld (DvP or a baseline), with Zipf skew over
+// items and over sites, collecting per-outcome counts and latency
+// histograms. This is the engine behind every experiment's load.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +12,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "txn/txn.h"
-#include "workload/adapter.h"
+#include "world/sim_world.h"
 
 namespace dvp::workload {
 
@@ -84,12 +84,12 @@ struct WorkloadResults {
   }
 };
 
-/// Drives Poisson arrivals against `adapter` for `duration_us` of virtual
+/// Drives Poisson arrivals against `world` for `duration_us` of virtual
 /// time, then keeps running `drain_us` longer so in-flight transactions
 /// reach their decisions.
 class WorkloadDriver {
  public:
-  WorkloadDriver(SystemAdapter* adapter, const std::vector<ItemId>& items,
+  WorkloadDriver(world::SimWorld* world, const std::vector<ItemId>& items,
                  WorkloadOptions options);
 
   /// Optional per-commit hook (the serializability checker taps in here).
@@ -120,7 +120,7 @@ class WorkloadDriver {
   void ScheduleNextArrival(SimTime horizon_end);
   void SubmitOne();
 
-  SystemAdapter* adapter_;
+  world::SimWorld* world_;
   std::vector<ItemId> items_;
   WorkloadOptions options_;
   Rng rng_;

@@ -3,7 +3,11 @@
 // paired-items pattern for capacity-bounded counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "system/cluster.h"
+#include "system/real_cluster.h"
 
 namespace dvp {
 namespace {
@@ -22,6 +26,46 @@ TEST(SplitEvenTest, DistributesRemainderToLowSites) {
   EXPECT_EQ(SplitEven(8, 4), (std::vector<core::Value>{2, 2, 2, 2}));
   EXPECT_EQ(SplitEven(0, 3), (std::vector<core::Value>{0, 0, 0}));
   EXPECT_EQ(SplitEven(2, 5), (std::vector<core::Value>{1, 1, 0, 0, 0}));
+}
+
+TEST(SplitEvenTest, SharesSumExactlyAndDifferByAtMostOne) {
+  EXPECT_EQ(SplitEven(-7, 3), (std::vector<core::Value>{-2, -2, -3}));
+  for (core::Value total : {-1001, -100, -7, -5, -1, 0, 1, 5, 7, 100, 1001}) {
+    for (uint32_t n : {1u, 2u, 3u, 4u, 7u, 16u}) {
+      std::vector<core::Value> shares = SplitEven(total, n);
+      ASSERT_EQ(shares.size(), n);
+      EXPECT_EQ(std::accumulate(shares.begin(), shares.end(), core::Value{0}),
+                total)
+          << total << " over " << n;
+      auto [lo, hi] = std::minmax_element(shares.begin(), shares.end());
+      EXPECT_LE(*hi - *lo, 1) << total << " over " << n;
+      EXPECT_TRUE(std::is_sorted(shares.rbegin(), shares.rend()))
+          << "larger shares go to the low indices";
+    }
+  }
+}
+
+// A gauge item may start below zero; an even split of it must still hand
+// out exactly its total, on both facades (no Start() needed to audit).
+TEST(ClusterBootstrapTest, EvenSplitOfANegativeGaugeTotalConserves) {
+  core::Catalog catalog;
+  catalog.AddItem("temperature", core::GaugeDomain::Instance(), -7);
+  {
+    ClusterOptions opts;
+    opts.num_sites = 3;
+    Cluster cluster(&catalog, opts);
+    cluster.BootstrapEven();
+    Status audit = cluster.AuditAll();
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
+  }
+  {
+    system::RealClusterOptions opts;
+    opts.num_sites = 3;
+    system::RealCluster cluster(&catalog, opts);
+    cluster.BootstrapEven();
+    Status audit = cluster.AuditAll();
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
+  }
 }
 
 TEST(ClusterBootstrapTest, RejectsWrongSizeAllocation) {
@@ -92,6 +136,28 @@ TEST(ClusterRunTest, RunUntilQuiescentStopsAtDrainOrDeadline) {
   SimTime before = cluster.Now();
   cluster.RunUntilQuiescent(1'000);
   EXPECT_LE(cluster.Now(), before + 1'000);
+}
+
+// The volatile audit reads every item at every up site; a read of an item a
+// site holds nothing of must not materialise a fragment there.
+TEST(ClusterAuditTest, VolatileAuditLeavesResidencyUnchanged) {
+  core::Catalog catalog;
+  for (int i = 0; i < 8; ++i) {
+    catalog.AddItem("item" + std::to_string(i), CountDomain::Instance(), 40);
+  }
+  ClusterOptions opts;
+  opts.num_sites = 4;
+  Cluster cluster(&catalog, opts);
+  cluster.BootstrapHomed();
+  std::vector<size_t> before;
+  for (uint32_t s = 0; s < 4; ++s) {
+    before.push_back(cluster.site(SiteId(s)).store()->resident_count());
+  }
+  ASSERT_TRUE(cluster.AuditAllVolatile().ok());
+  for (uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(cluster.site(SiteId(s)).store()->resident_count(), before[s])
+        << "site " << s;
+  }
 }
 
 TEST(ClusterMetricsTest, AggregateIncludesNetworkStats) {

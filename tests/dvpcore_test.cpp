@@ -244,8 +244,8 @@ TEST(ValueStoreTest, ResidencyTracksTouchedItemsNotCatalogWidth) {
   store.Install(ItemId(400), 5, Timestamp(1, SiteId(0)));
   EXPECT_EQ(store.fragment(ItemId(7)).value, 3);
   EXPECT_EQ(store.fragment(ItemId(400)).value, 5);
-  // Residency stays O(touched): the two writes plus the one cached read.
-  EXPECT_EQ(store.resident_count(), 3u);
+  // Residency stays O(touched): the two writes; reads insert nothing.
+  EXPECT_EQ(store.resident_count(), 2u);
   EXPECT_TRUE(store.resident_fragments().count(7));
   EXPECT_TRUE(store.resident_fragments().count(400));
 }

@@ -14,7 +14,6 @@
 #include "chaos/harness.h"
 #include "system/cluster.h"
 #include "verify/serializability.h"
-#include "workload/adapter.h"
 #include "workload/generator.h"
 
 namespace dvp {
@@ -174,7 +173,6 @@ TEST(MultiopRegression, ReadDrainWaitsForLocalOutstandingVm) {
   opts.site.txn.multiop_timeout_us = 200'000;
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
 
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 400.0;
@@ -187,12 +185,12 @@ TEST(MultiopRegression, ReadDrainWaitsForLocalOutstandingVm) {
   w.amount_max = 6;
   w.item_zipf_theta = 0.6;
   w.seed = seed * 3 + 1;
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
 
   verify::HistoryChecker checker(&catalog);
   driver.set_on_commit([&](TxnId id, const txn::TxnSpec& spec,
                            const txn::TxnResult& r) {
-    checker.RecordCommitAt(adapter.Now(), id, spec, r);
+    checker.RecordCommitAt(cluster.Now(), id, spec, r);
   });
   driver.Run(9'000'000, 3'000'000);
 

@@ -19,7 +19,6 @@
 #include "obs/trace.h"
 #include "sim/kernel.h"
 #include "vm/vm_manager.h"
-#include "workload/adapter.h"
 
 namespace dvp {
 namespace {
@@ -270,11 +269,10 @@ TEST(PartitionInjectorTest, FinalHealIsClampedInsideTheWindow) {
   copts.seed = 5;
   system::Cluster cluster(&catalog, copts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
 
   // Split at t=10ms with a nominal 300ms duration but a window ending at
   // t=20ms: the heal must land at 20ms, not 310ms.
-  bench::PartitionInjector injector(&adapter, 10'000, 300'000, 42);
+  bench::PartitionInjector injector(&cluster, 10'000, 300'000, 42);
   injector.Start(20'000);
   cluster.RunFor(15'000);
   EXPECT_EQ(injector.splits(), 1u);

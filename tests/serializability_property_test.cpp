@@ -6,7 +6,6 @@
 
 #include "system/cluster.h"
 #include "verify/serializability.h"
-#include "workload/adapter.h"
 #include "workload/generator.h"
 
 namespace dvp {
@@ -42,7 +41,6 @@ TEST_P(SerializabilityTest, RandomHistoryReplaysSerially) {
   }
   system::Cluster cluster(&catalog, opts);
   cluster.BootstrapEven();
-  workload::DvpAdapter adapter(&cluster);
 
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 120;
@@ -51,12 +49,12 @@ TEST_P(SerializabilityTest, RandomHistoryReplaysSerially) {
   w.p_increment = (1.0 - c.read_mix) * 0.5;
   w.site_zipf_theta = 0.7;
   w.seed = c.seed * 31 + 5;
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
 
   verify::HistoryChecker checker(&catalog);
   driver.set_on_commit([&](TxnId id, const txn::TxnSpec& spec,
                            const txn::TxnResult& r) {
-    checker.RecordCommitAt(adapter.Now(), id, spec, r);
+    checker.RecordCommitAt(cluster.Now(), id, spec, r);
   });
 
   auto results = driver.Run(15'000'000, 4'000'000);
@@ -111,7 +109,6 @@ TEST(DecrementSafetyTest, FragmentsNeverNegativeUnderChaos) {
     }
   });
 
-  workload::DvpAdapter adapter(&cluster);
   workload::WorkloadOptions w;
   w.arrivals_per_sec = 150;
   w.p_decrement = 0.8;  // constant pressure against the zero bound
@@ -121,7 +118,7 @@ TEST(DecrementSafetyTest, FragmentsNeverNegativeUnderChaos) {
   w.amount_max = 9;
   w.seed = 777;
   std::vector<ItemId> items{item};
-  workload::WorkloadDriver driver(&adapter, items, w);
+  workload::WorkloadDriver driver(&cluster, items, w);
   auto results = driver.Run(10'000'000);
   // Most demand must fail (the item only has 60 units) but never unsafely.
   EXPECT_GT(results.decided(), 500u);
