@@ -89,6 +89,11 @@ Flags Parse(int argc, char** argv) {
       f.items = uint32_t(std::stoul(v));
     } else if (ParseFlag(arg, "total", &v)) {
       f.total = std::stoll(v);
+      if (!core::CountDomain::Instance().ValidFragment(f.total)) {
+        std::cerr << "--total must be a valid count (>= 0): " << v << "\n";
+        PrintHelp();
+        std::exit(2);
+      }
     } else if (ParseFlag(arg, "read-mix", &v)) {
       f.read_mix = std::stod(v);
     } else if (ParseFlag(arg, "snap-mix", &v)) {

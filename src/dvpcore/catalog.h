@@ -24,6 +24,8 @@ struct ItemInfo {
 class Catalog {
  public:
   /// Registers an item; ids are dense, assigned in registration order.
+  /// Aborts if `initial_total` is not a valid fragment of `domain` (a
+  /// negative count or money total): no even split of it is valid either.
   ItemId AddItem(std::string name, const Domain& domain, Value initial_total);
 
   const ItemInfo& info(ItemId item) const { return items_[item.value()]; }

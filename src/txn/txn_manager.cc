@@ -22,6 +22,10 @@ namespace {
 /// partitioned one stops hammering the wire.
 constexpr SimTime kReadRetryUs = 40'000;
 constexpr SimTime kReadRetryMaxUs = 320'000;
+/// Early re-asks per transaction between two retry-timer firings: a kCc NACK
+/// re-asks the refusing site at once, at most this often, and the timer stays
+/// the fallback for whatever the bound or a lost message leaves open.
+constexpr uint32_t kEarlyReasksPerRetry = 2;
 /// Snapshot retry pacing: the first kSnapshotFastRounds unbalanced rounds
 /// re-ask immediately (an unbalanced certificate usually closes within a
 /// round-trip once the in-flight Vm land); further rounds ride the backoff
@@ -106,6 +110,7 @@ TxnManager::TxnManager(SiteId self, uint32_t num_sites, runtime::Runtime* rt,
       m_gather_fallback_(obs::CounterIn(metrics, "placement.gather.fallback")),
       m_surplus_nack_(obs::CounterIn(metrics, "req.surplus_nack")),
       m_nack_received_(obs::CounterIn(metrics, "req.nack_received")),
+      m_reask_early_(obs::CounterIn(metrics, "req.reask_early")),
       m_multiop_committed_(obs::CounterIn(metrics, "txn.multiop.committed")),
       m_multiop_aborted_(obs::CounterIn(metrics, "txn.multiop.aborted")),
       m_multiop_return_(obs::CounterIn(metrics, "txn.multiop.return_sends")),
@@ -624,6 +629,31 @@ void TxnManager::OnNack(SiteId from, const proto::GatherNackMsg& msg) {
   clock_->Observe(Timestamp::FromPacked(msg.ts_packed));
   if (msg.reason == proto::GatherNackMsg::Reason::kCc) {
     m_nack_received_->Inc();
+    // The refusal carried a clock past the refusing stamp, so a re-ask under
+    // a fresh timestamp now passes the gate: send it to the refusing site at
+    // once instead of idling until the retry timer. Only the transaction
+    // that holds the item's lock and still misses value on it re-asks.
+    TxnId owner = locks_->OwnerOf(msg.item);
+    auto it = pending_.find(owner);
+    if (it == pending_.end() || msg.trace_id != owner.value()) return;
+    PendingTxn& t = *it->second;
+    auto short_it = t.shortfall.find(msg.item);
+    if (short_it == t.shortfall.end() || options_.gather_retry_us <= 0 ||
+        t.commit_scheduled || t.early_reasks >= kEarlyReasksPerRetry) {
+      return;
+    }
+    ++t.early_reasks;
+    m_reask_early_->Inc();
+    Restamp(t);
+    ++t.rounds;
+    auto req = NewRequest(t.id, t.ts, t.rounds);
+    req->atomic_set = t.spec.atomic_set;
+    req->want_surplus_nack =
+        options_.targeting == TargetPolicy::kSurplus && placement_ != nullptr;
+    req->parts = {{msg.item, short_it->second, false}};
+    m_req_sent_->Inc();
+    m_req_msgs_->Inc();
+    transport_->SendDatagram(from, std::move(req));
     return;
   }
   m_surplus_nack_->Inc();
@@ -771,17 +801,11 @@ void TxnManager::OnRetry(TxnId id) {
   if (it == pending_.end()) return;
   PendingTxn& t = *it->second;
   ++t.retry_attempts;
+  t.early_reasks = 0;
   if (options_.gather_retry_us > 0 && !t.shortfall.empty()) {
-    // A CC-refused round is not a death sentence: the kCc NACK bumped this
-    // site's clock past the refusing fragment's stamp, so re-issue the
-    // still-missing asks under a fresh timestamp. Sound for the Conc1 gate —
-    // the local locks were granted under an older ts and raising it
-    // preserves every MayLock comparison; the commit record stamps fragments
-    // with the final (freshest) ts.
-    t.ts = clock_->Next();
-    if (policy_.StampOnLock()) {
-      for (ItemId item : t.items) store_->SetTs(item, t.ts);
-    }
+    // Re-issue the still-missing asks under a fresh timestamp: whatever a
+    // refusal, a lost message or the early re-ask bound left open.
+    Restamp(t);
     // Re-request only what is still missing, against freshly ranked (or
     // freshly drawn) targets — the previous round's grants and NACK feedback
     // have already reshaped the ask.
@@ -801,6 +825,18 @@ void TxnManager::OnRetry(TxnId id) {
     SendSnapshotRound(t, /*only_stale=*/true);
   }
   ArmRetry(t);
+}
+
+void TxnManager::Restamp(PendingTxn& t) {
+  // A CC-refused round is not a death sentence: the kCc NACK bumped this
+  // site's clock past the refusing fragment's stamp, so a fresh timestamp
+  // passes the gate. Sound for the Conc1 gate — the local locks were granted
+  // under an older ts and raising it preserves every MayLock comparison; the
+  // commit record stamps fragments with the final (freshest) ts.
+  t.ts = clock_->Next();
+  if (policy_.StampOnLock()) {
+    for (ItemId item : t.items) store_->SetTs(item, t.ts);
+  }
 }
 
 void TxnManager::OnSnapshotReq(SiteId from, const proto::SnapshotReqMsg& msg) {

@@ -123,10 +123,12 @@ class TxnManager {
   void OnSnapshotReply(SiteId from, const proto::SnapshotReplyMsg& msg);
 
   /// Refusal of one part of this site's gather request. Every reason bumps
-  /// the Lamport clock. A kCc refusal is counted (req.nack_received); the
-  /// next re-ask carries a fresh, competitive timestamp. A kEmpty refusal
-  /// (req.surplus_nack) zeroes the placement cache entry for (from, item) so
-  /// the next gather redirects.
+  /// the Lamport clock. A kCc refusal is counted (req.nack_received) and, if
+  /// the refused transaction still holds the item's lock with a shortfall on
+  /// it, re-asks `from` for that shortfall at once under a fresh timestamp
+  /// (req.reask_early) — at most twice between retry-timer firings. A kEmpty
+  /// refusal (req.surplus_nack) zeroes the placement cache entry for
+  /// (from, item) so the next gather redirects.
   void OnNack(SiteId from, const proto::GatherNackMsg& msg);
 
   /// Routes an incoming Vm transfer. Returns true if a pending transaction
@@ -223,6 +225,8 @@ class TxnManager {
     uint32_t rounds = 0;
     /// Retry-timer firings: the read backoff exponent.
     uint32_t retry_attempts = 0;
+    /// kCc-triggered re-asks since the last retry-timer firing (OnNack).
+    uint32_t early_reasks = 0;
     bool committed = false;
     bool commit_scheduled = false;
     /// Value this transaction absorbed mid-gather, per (src, item) — tracked
@@ -249,12 +253,17 @@ class TxnManager {
   /// The transaction's round driver. Arms the retry timer while any work is
   /// open: a shortfall (when gather_retry_us > 0), a full read or a snapshot
   /// read. While a shortfall is open the timer runs at gather_retry_us;
-  /// otherwise at the jittered read backoff on retry_attempts.
+  /// otherwise at the jittered read backoff on retry_attempts. A kCc NACK
+  /// re-asks early (OnNack); the timer is the fallback for lost messages
+  /// and for refusals past the early re-ask bound.
   void ArmRetry(PendingTxn& t);
-  /// The retry timer fired: re-ask the remaining shortfall under a fresh
-  /// timestamp, then the missing replies of every open read (both modes),
-  /// then re-arm.
+  /// The retry timer fired: reset the early re-ask bound, re-ask the
+  /// remaining shortfall under a fresh timestamp, then the missing replies
+  /// of every open read (both modes), then re-arm.
   void OnRetry(TxnId id);
+  /// Gives `t` a fresh timestamp and, under Conc1, restamps its locked
+  /// fragments with it: the step before any gather re-ask.
+  void Restamp(PendingTxn& t);
   /// Sends the current snapshot round's request. `only_stale` (the retry
   /// path) re-asks only sites whose latest reply predates the round.
   void SendSnapshotRound(PendingTxn& t, bool only_stale);
@@ -304,6 +313,7 @@ class TxnManager {
   obs::Counter* m_gather_fallback_;
   obs::Counter* m_surplus_nack_;
   obs::Counter* m_nack_received_;
+  obs::Counter* m_reask_early_;
   /// Multi-item atomic-set counters. They only move on multiop code paths,
   /// so workloads without atomic sets keep byte-identical counter sets.
   obs::Counter* m_multiop_committed_;

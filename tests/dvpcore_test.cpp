@@ -205,6 +205,19 @@ TEST(CatalogTest, AllItemsIsDense) {
   EXPECT_EQ(items[1].value(), 1u);
 }
 
+// A total its domain rejects as a fragment is refused where it enters the
+// catalog, in every build type: no even split of a negative count is valid.
+TEST(CatalogDeathTest, RefusesATotalItsDomainRejects) {
+  Catalog catalog;
+  EXPECT_DEATH(catalog.AddItem("seats", CountDomain::Instance(), -9),
+               "initial total -9 is not a valid count value");
+  EXPECT_DEATH(catalog.AddItem("cash", MoneyDomain::Instance(), -1),
+               "not a valid money value");
+  catalog.AddItem("zero", CountDomain::Instance(), 0);
+  catalog.AddItem("net", GaugeDomain::Instance(), -9);
+  EXPECT_EQ(catalog.num_items(), 2u);
+}
+
 // ---- ValueStore ---------------------------------------------------------------------
 
 TEST(ValueStoreTest, StartsAtIdentity) {

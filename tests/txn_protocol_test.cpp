@@ -191,6 +191,75 @@ TEST_F(TxnProtocolTest, Conc1StaleRequesterRefusedThenNackEnablesRetry) {
   EXPECT_TRUE(cluster_->AuditAll().ok());
 }
 
+// With a retry timer, a kCc refusal is answered at once: the origin re-asks
+// the refusing site under a fresh timestamp instead of idling until the
+// timer fires. Site 1, the donor, stamps its fragment far ahead of the
+// origin's clock with many local transactions; site 2 is drained. The
+// origin's gather is refused once by the Conc1 gate and still commits well
+// inside one retry interval.
+TEST_F(TxnProtocolTest, Conc1NackReasksTheRefusingSiteAtOnce) {
+  system::ClusterOptions opts;
+  opts.num_sites = 3;
+  opts.site.txn.gather_retry_us = 5'000;
+  Build(opts, 300);
+  TxnSpec one;
+  one.ops = {TxnOp::Increment(item_, 1)};
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(SubmitAndRun(SiteId(1), one, 1'000).outcome,
+              TxnOutcome::kCommitted);
+  }
+  TxnSpec drain;
+  drain.ops = {TxnOp::Decrement(item_, 100)};
+  ASSERT_EQ(SubmitAndRun(SiteId(2), drain).outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(SubmitAndRun(SiteId(0), drain).outcome, TxnOutcome::kCommitted);
+
+  TxnSpec need;
+  need.ops = {TxnOp::Decrement(item_, 50)};
+  TxnResult r = SubmitAndRun(SiteId(0), need);
+  ASSERT_EQ(r.outcome, TxnOutcome::kCommitted) << r.status.ToString();
+  EXPECT_LT(r.latency_us, 5'000);
+  auto c = cluster_->AggregateCounters();
+  EXPECT_EQ(c.Get("req.nack_received"), 1u);
+  EXPECT_EQ(c.Get("req.reask_early"), 1u);
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
+// The early re-ask is bounded: however many kCc NACKs one open shortfall
+// draws, at most two re-asks leave before the retry timer fires.
+TEST_F(TxnProtocolTest, EarlyReasksAreBoundedBetweenRetryTimerFirings) {
+  system::ClusterOptions opts;
+  opts.num_sites = 3;
+  opts.site.txn.gather_retry_us = 5'000;
+  Build(opts, 300);
+  TxnSpec drain;
+  drain.ops = {TxnOp::Decrement(item_, 100)};
+  ASSERT_EQ(SubmitAndRun(SiteId(0), drain).outcome, TxnOutcome::kCommitted);
+
+  TxnSpec need;
+  need.ops = {TxnOp::Decrement(item_, 50)};
+  bool done = false;
+  auto id = cluster_->Submit(SiteId(0), need,
+                             [&](const TxnResult&) { done = true; });
+  ASSERT_TRUE(id.ok());
+  uint64_t msgs_before = cluster_->AggregateCounters().Get("req.msgs");
+  proto::GatherNackMsg nack;
+  nack.from = SiteId(1);
+  nack.reason = proto::GatherNackMsg::Reason::kCc;
+  nack.item = item_;
+  nack.ts_packed = Timestamp(1000, SiteId(1)).packed();
+  nack.trace_id = id.value().value();
+  for (int i = 0; i < 3; ++i) {
+    cluster_->site(SiteId(0)).txns()->OnNack(SiteId(1), nack);
+  }
+  auto c = cluster_->AggregateCounters();
+  EXPECT_EQ(c.Get("req.nack_received"), 3u);
+  EXPECT_EQ(c.Get("req.reask_early"), 2u);
+  EXPECT_EQ(c.Get("req.msgs") - msgs_before, 2u);
+  cluster_->RunFor(2'000'000);
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(cluster_->AuditAll().ok());
+}
+
 TEST_F(TxnProtocolTest, Conc2CommitsWhereConc1WouldReject) {
   system::ClusterOptions opts;
   opts.UseConc2();
