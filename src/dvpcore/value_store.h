@@ -4,11 +4,12 @@
 // rebuilds it from the image plus the log suffix (§7).
 //
 // Storage is SPARSE: a fragment is materialised the first time it is
-// installed or written, and an absent fragment reads as the domain identity
-// (exactly the value the dense store used to pre-fill). At the scale the
-// paper's performance question demands (10⁶ items × 100+ sites) a dense
-// per-site vector is ~10⁸ fragments across the cluster; each site actually
-// holds value for only its slice of the catalog.
+// installed or written, and an absent fragment reads as this site's boot
+// share (BootRule): its even share of the item's initial total, the whole
+// total at the item's home site, or the domain identity for a site booted
+// from an explicit allocation. A boot therefore writes nothing per item, and
+// the store holds only the items the site has touched since: at 10⁶ items ×
+// 100+ sites a dense per-site vector is ~10⁸ fragments across the cluster.
 #pragma once
 
 #include <cassert>
@@ -18,6 +19,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "dvpcore/boot_rule.h"
 #include "dvpcore/catalog.h"
 #include "dvpcore/domain.h"
 
@@ -32,10 +34,18 @@ struct Fragment {
 
 class ValueStore {
  public:
-  /// Binds the catalog; fragments materialise lazily (absent = identity).
+  /// Binds the catalog; fragments materialise lazily (absent = boot share,
+  /// the identity until set_boot_rule).
   explicit ValueStore(const Catalog* catalog) : catalog_(catalog) {}
 
   const Catalog& catalog() const { return *catalog_; }
+
+  /// Sets what absent fragments read as. Call before the first write: a
+  /// resident fragment keeps the value it was written with.
+  void set_boot_rule(BootRule rule) { boot_ = rule; }
+  const BootRule& boot_rule() const { return boot_; }
+  /// What `item` reads as while no write has materialised it here.
+  Value BootShare(ItemId item) const { return boot_.Share(*catalog_, item); }
 
   /// Installs an initial / recovered fragment state.
   void Install(ItemId item, Value value, Timestamp ts) {
@@ -44,8 +54,8 @@ class ValueStore {
     if (observer_) observer_(item);
   }
 
-  /// Fragment view, by value; an item never written here reads as the
-  /// domain identity with a zero timestamp, and reading it inserts nothing
+  /// Fragment view, by value; an item never written here reads as its boot
+  /// share with a zero timestamp, and reading it inserts nothing
   /// (only writes materialise). Out-of-catalog ids are a caller bug: debug
   /// builds assert, release builds return an inert zero fragment instead of
   /// indexing out of bounds (the old dense store did
@@ -55,7 +65,7 @@ class ValueStore {
     if (!InCatalog(item)) return Fragment{};
     auto it = fragments_.find(item.value());
     if (it != fragments_.end()) return it->second;
-    return Fragment{catalog_->domain(item).Identity(), Timestamp::Zero()};
+    return Fragment{BootShare(item), Timestamp::Zero()};
   }
   Value value(ItemId item) const { return fragment(item).value; }
   Timestamp ts(ItemId item) const { return fragment(item).ts; }
@@ -76,9 +86,10 @@ class ValueStore {
   uint32_t num_items() const { return catalog_->num_items(); }
 
   /// Fragments actually materialised at this site — the store's real memory
-  /// footprint, and the set a checkpoint must image (absent = identity needs
-  /// no image entry). Iteration order is unspecified; consumers that need
-  /// determinism must sort or write into an ordered sink.
+  /// footprint, and the set a checkpoint must image (an absent fragment is
+  /// its boot share, which the stable boot rule already records). Iteration
+  /// order is unspecified; consumers that need determinism must sort or
+  /// write into an ordered sink.
   const std::unordered_map<uint32_t, Fragment>& resident_fragments() const {
     return fragments_;
   }
@@ -97,17 +108,17 @@ class ValueStore {
     assert(ok && "ValueStore: out-of-catalog ItemId");
     return ok;
   }
-  /// Creates the fragment at its domain identity on first touch. References
-  /// stay stable across inserts (node-based map).
+  /// Creates the fragment at its boot share on first touch — a lock-only
+  /// SetTs too, so a later checkpoint images the share and not the
+  /// identity. References stay stable across inserts (node-based map).
   Fragment& Materialize(ItemId item) {
     auto [it, inserted] = fragments_.try_emplace(item.value());
-    if (inserted) {
-      it->second.value = catalog_->domain(item).Identity();
-    }
+    if (inserted) it->second.value = BootShare(item);
     return it->second;
   }
 
   const Catalog* catalog_;
+  BootRule boot_;
   /// Materialised by the first write (Install, SetValue, SetTs).
   std::unordered_map<uint32_t, Fragment> fragments_;
   std::function<void(ItemId)> observer_;

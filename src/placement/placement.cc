@@ -42,14 +42,27 @@ PlacementManager::PlacementManager(SiteId self, uint32_t num_sites,
   // catalog. (Demand bumps feed the ring on their own path.)
   if (options_.hints_per_frame > 0) {
     store_->set_observer([this](ItemId item) { TouchAdvert(item.value()); });
-    // Fragments materialised before this manager existed (bootstrap images,
-    // recovery replay) still get airtime.
+    // What the site held before this manager existed still gets airtime, in
+    // id order: every item its boot rule gave it a share of, merged with
+    // every fragment already resident (a checkpoint image, or a test's
+    // installs). The bitmap costs a bit per catalog item.
+    advert_members_.assign(store_->num_items(), false);
+    std::vector<uint32_t> resident;
+    resident.reserve(store_->resident_count());
     for (const auto& [item, frag] : store_->resident_fragments()) {
       (void)frag;
-      TouchAdvert(item);
+      resident.push_back(item);
     }
-    std::sort(advert_ring_.begin(), advert_ring_.end());  // resident order
-                                                          // is unspecified
+    std::sort(resident.begin(), resident.end());  // resident order is
+                                                  // unspecified
+    auto next = resident.begin();
+    store_->boot_rule().ForEachCovered(store_->num_items(), [&](ItemId item) {
+      for (; next != resident.end() && *next < item.value(); ++next) {
+        TouchAdvert(*next);
+      }
+      TouchAdvert(item.value());
+    });
+    for (; next != resident.end(); ++next) TouchAdvert(*next);
   }
 }
 
@@ -59,12 +72,13 @@ PlacementManager::~PlacementManager() {
 }
 
 void PlacementManager::TouchAdvert(uint32_t item) {
-  if (options_.hints_per_frame == 0) return;
-  if (advert_members_.insert(item).second) advert_ring_.push_back(item);
+  if (options_.hints_per_frame == 0 || advert_members_[item]) return;
+  advert_members_[item] = true;
+  advert_ring_.push_back(item);
 }
 
 void PlacementManager::RetireAdvert(size_t pos) {
-  advert_members_.erase(advert_ring_[pos]);
+  advert_members_[advert_ring_[pos]] = false;
   advert_ring_[pos] = advert_ring_.back();
   advert_ring_.pop_back();
 }

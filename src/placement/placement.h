@@ -22,10 +22,13 @@
 //    the write-only/locally-satisfiable fast path with zero redistribution
 //    messages.
 //
-// All state is SPARSE and sized by activity, not by catalog width. The
-// advert side keeps a ring of items this site has actually touched (fed by a
-// ValueStore observer and by demand bumps) so building a frame's hints never
-// scans num_items; the cache side keys by hinted item then by site, so a
+// The cache and demand state is SPARSE and sized by activity, not by catalog
+// width. The advert side keeps a ring of the items this site holds a share
+// of — seeded from its boot rule (every item under an even split), then fed
+// by a ValueStore observer and by demand bumps — so building a frame's hints
+// never scans num_items, though the ring itself is O(items) after an even
+// boot until drained entries retire; the cache side keys by hinted item then
+// by site, so a
 // million-item catalog with a few thousand hot items costs a few thousand
 // entries — not sites×items — and the rebalance tick walks only items some
 // peer has advertised.
@@ -38,7 +41,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -137,7 +139,8 @@ class PlacementManager {
 
   // ---- Introspection (memory proxies for the scale bench) ------------------
 
-  /// Items currently in the advert ring (touched, not yet retired).
+  /// Items currently in the advert ring (boot-share or touched items, not
+  /// yet retired).
   size_t advert_ring_size() const { return advert_ring_.size(); }
   /// Hinted items / total (item, site) hint entries currently cached.
   size_t cache_items() const { return cache_.size(); }
@@ -204,11 +207,13 @@ class PlacementManager {
   /// Local demand EWMAs, only for items with undecayed mass.
   std::map<uint32_t, Demand> demand_;
 
-  /// Items worth advertising: everything this site's store has materialised
-  /// plus everything with local demand. Entries whose surplus and demand
-  /// have both drained are retired lazily as the cursor passes them.
+  /// Items worth advertising: the items the site's boot rule gave it a
+  /// share of, everything its store has materialised since, and everything
+  /// with local demand. Entries whose surplus and demand have both drained
+  /// are retired lazily as the cursor passes them.
   std::vector<uint32_t> advert_ring_;
-  std::unordered_set<uint32_t> advert_members_;
+  /// Ring membership, one bit per catalog item (empty with hints off).
+  std::vector<bool> advert_members_;
   size_t advert_cursor_ = 0;
   /// Item id (not index) the next rebalance tick resumes from.
   uint32_t rebalance_cursor_ = 0;

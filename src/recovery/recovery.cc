@@ -16,6 +16,13 @@ void Redo(const wal::FragmentWrite& w, core::ValueStore* store,
 
 }  // namespace
 
+void LoadImage(const wal::StableStorage& storage, core::ValueStore* store) {
+  store->set_boot_rule(storage.boot_rule());
+  for (const auto& [item, entry] : storage.image()) {
+    store->Install(item, entry.value, Timestamp::FromPacked(entry.ts_packed));
+  }
+}
+
 Status RebuildStore(const wal::StableStorage& storage,
                     core::ValueStore* store, RecoveryReport* report) {
   // Recovery sees the forced prefix only: records in the unforced group-
@@ -25,11 +32,12 @@ Status RebuildStore(const wal::StableStorage& storage,
 
 Status RebuildStorePrefix(const wal::StableStorage& storage, uint64_t upto,
                           core::ValueStore* store, RecoveryReport* report) {
-  // Start from the checkpointed image.
-  for (const auto& [item, entry] : storage.image()) {
-    store->Install(item, entry.value, Timestamp::FromPacked(entry.ts_packed));
-  }
+  LoadImage(storage, store);
+  return ReplaySuffix(storage, upto, store, report);
+}
 
+Status ReplaySuffix(const wal::StableStorage& storage, uint64_t upto,
+                    core::ValueStore* store, RecoveryReport* report) {
   uint64_t max_counter = 0;
   auto observe = [&max_counter](uint64_t ts_packed) {
     max_counter =

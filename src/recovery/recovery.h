@@ -1,7 +1,8 @@
 // Independent recovery (§7). A recovering site:
 //   1. assumes no locks are held (the lock table is volatile by design);
-//   2. rebuilds its fragments from the stable database image plus an
-//      idempotent redo of the log suffix (absolute post-values, log order);
+//   2. rebuilds its fragments from the stable boot rule and database image
+//      plus an idempotent redo of the log suffix (absolute post-values, log
+//      order); a fragment neither holds reads as its boot share;
 //   3. restores its Lamport counter from the log watermark — a stale counter
 //      is only a temporary problem, repaired by Observe on the first
 //      incoming message;
@@ -38,8 +39,21 @@ struct RecoveryReport {
   bool torn_tail = false;
 };
 
+/// Loads `storage`'s durable base into `store` (which must be freshly
+/// constructed): the boot rule, then the checkpointed image. The store then
+/// holds the state as of checkpoint_upto(), with nothing resident but the
+/// image — a site booted by rule and never checkpointed loads nothing.
+void LoadImage(const wal::StableStorage& storage, core::ValueStore* store);
+
+/// Redoes the log records with LSN in [checkpoint_upto(), upto) onto a store
+/// LoadImage filled, and computes the Lamport watermark. Stops at the first
+/// damaged record, reported via valid_prefix / torn_tail.
+Status ReplaySuffix(const wal::StableStorage& storage, uint64_t upto,
+                    core::ValueStore* store, RecoveryReport* report);
+
 /// Rebuilds `store` (which must be freshly constructed) from `storage`'s
-/// image and log suffix, and computes the Lamport watermark. Does not touch
+/// boot rule, image and log suffix (LoadImage, then ReplaySuffix over the
+/// forced prefix), and computes the Lamport watermark. Does not touch
 /// the network. Replay stops at the last valid log prefix: a damaged record
 /// ends the redo there (reported via valid_prefix / torn_tail) rather than
 /// failing recovery — the records beyond it were never safely forced.

@@ -32,6 +32,7 @@ Site::~Site() = default;
 
 void Site::BuildVolatile() {
   store_ = std::make_unique<core::ValueStore>(catalog_);
+  recovery::LoadImage(*storage_, store_.get());
   locks_ = std::make_unique<cc::LockManager>();
   placement_ = std::make_unique<placement::PlacementManager>(
       id_, conduit_->num_sites(), rt_, store_.get(), &metrics_,
@@ -77,9 +78,11 @@ void Site::BuildVolatile() {
   placement_->Start();
 }
 
-void Site::Bootstrap(const std::map<ItemId, core::Value>& initial_fragments) {
+void Site::Bootstrap(const std::map<ItemId, core::Value>& initial_fragments,
+                     core::BootRule rule) {
   assert(!up_ && "Bootstrap is for first boot only");
   if (up_) return;  // release-build guard
+  storage_->set_boot_rule(rule);
   BuildVolatile();
   for (const auto& [item, value] : initial_fragments) {
     assert(catalog_->domain(item).ValidFragment(value));
@@ -132,9 +135,12 @@ void Site::Recover(
     if (gen != lifecycle_generation_) return;
     recovering_ = false;
 
+    // BuildVolatile loads the boot rule and image; replay the forced
+    // suffix on top (a crash dropped the unforced tail).
     BuildVolatile();
     recovery::RecoveryReport report;
-    Status s = recovery::RebuildStore(*storage_, store_.get(), &report);
+    Status s = recovery::ReplaySuffix(*storage_, storage_->durable_size(),
+                                      store_.get(), &report);
     assert(s.ok() && "log corruption during recovery");
     (void)s;
     if (report.torn_tail) {
@@ -175,8 +181,8 @@ void Site::Checkpoint() {
   // imaging the store: the image must not get ahead of the durable log.
   wal_->Flush();
   // Only materialised fragments need an image entry: an absent fragment IS
-  // the domain identity, and recovery's store starts there. Sorted so the
-  // imaging order (and any accounting keyed on it) is deterministic.
+  // the boot share, and recovery's store starts there (LoadImage). Sorted so
+  // the imaging order (and any accounting keyed on it) is deterministic.
   std::vector<uint32_t> resident;
   resident.reserve(store_->resident_count());
   for (const auto& [item, frag] : store_->resident_fragments()) {

@@ -59,9 +59,14 @@ class Site {
   Site(const Site&) = delete;
   Site& operator=(const Site&) = delete;
 
-  /// First boot: installs this site's initial fragment allocation into the
-  /// stable image and the live store. Call once, before running.
-  void Bootstrap(const std::map<ItemId, core::Value>& initial_fragments);
+  /// First boot. Records `rule` — what every fragment reads as until it is
+  /// written — in stable storage, and installs `initial_fragments` on top of
+  /// it into the stable image and the live store. An even or homed boot
+  /// passes its rule and no fragments, and so writes nothing per item; an
+  /// explicit allocation passes its fragments over the identity rule. Call
+  /// once, before running.
+  void Bootstrap(const std::map<ItemId, core::Value>& initial_fragments,
+                 core::BootRule rule = {});
 
   /// Submits a transaction here (§5). Fails fast when the site is down.
   StatusOr<TxnId> Submit(const txn::TxnSpec& spec, txn::TxnCallback cb);
@@ -123,6 +128,9 @@ class Site {
   LamportClock& clock() { return clock_; }
 
  private:
+  /// Builds the volatile components over a store holding the durable base
+  /// (boot rule and image; recovery::LoadImage), so the placement layer
+  /// seeds its advert ring from what the site held before any replay.
   void BuildVolatile();
   /// Returns true when the payload was consumed (transport may ack/dedup);
   /// false defers it to a later retransmission (locked-item Vm transfers).

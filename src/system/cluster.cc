@@ -5,42 +5,16 @@
 
 namespace dvp::system {
 
-namespace {
-
-/// Share `i` of SplitEven(total, n), without building the other n - 1.
-core::Value EvenShare(core::Value total, uint32_t n, uint32_t i) {
-  assert(n > 0 && i < n);
-  // Floor division, so the remainder is in [0, n) for either sign of total.
-  core::Value share = total / n;
-  core::Value remainder = total % n;
-  if (remainder < 0) {
-    --share;
-    remainder += n;
-  }
-  return i < remainder ? share + 1 : share;
-}
-
-}  // namespace
-
 std::vector<core::Value> SplitEven(core::Value total, uint32_t n) {
   std::vector<core::Value> out(n);
-  for (uint32_t i = 0; i < n; ++i) out[i] = EvenShare(total, n, i);
+  for (uint32_t i = 0; i < n; ++i) out[i] = core::EvenShare(total, n, i);
   return out;
 }
 
-void BootEven(const core::Catalog& catalog,
-              const std::vector<std::unique_ptr<site::Site>>& sites) {
+void BootEven(const std::vector<std::unique_ptr<site::Site>>& sites) {
   const uint32_t n = static_cast<uint32_t>(sites.size());
-  // One site's slice at a time: holding every slice at once interleaves
-  // their nodes in the heap, which made a 100k-item, 3-site boot slower and
-  // its peak memory higher.
   for (uint32_t s = 0; s < n; ++s) {
-    std::map<ItemId, core::Value> slice;
-    for (uint32_t i = 0; i < catalog.num_items(); ++i) {
-      core::Value total = catalog.info(ItemId(i)).initial_total;
-      slice.emplace_hint(slice.end(), ItemId(i), EvenShare(total, n, s));
-    }
-    sites[s]->Bootstrap(slice);
+    sites[s]->Bootstrap({}, core::BootRule::Even(n, SiteId(s)));
   }
 }
 
@@ -65,22 +39,16 @@ Cluster::~Cluster() = default;
 void Cluster::BootstrapEven() {
   assert(!booted_);
   if (booted_) return;  // release-build guard
-  BootEven(*catalog_, sites_);
+  BootEven(sites_);
   booted_ = true;
 }
 
 void Cluster::BootstrapHomed() {
   assert(!booted_);
   if (booted_) return;  // release-build guard
-  // Build each site's slice directly: no per-item num_sites-wide share
-  // vectors, no cross-site validation loop. Domain validity of "everything"
-  // and "nothing" is the bootstrap invariant the even split also relies on.
   for (uint32_t s = 0; s < options_.num_sites; ++s) {
-    std::map<ItemId, core::Value> per_site;
-    for (uint32_t i = s; i < catalog_->num_items(); i += options_.num_sites) {
-      per_site[ItemId(i)] = catalog_->info(ItemId(i)).initial_total;
-    }
-    sites_[s]->Bootstrap(per_site);
+    sites_[s]->Bootstrap({}, core::BootRule::Homed(options_.num_sites,
+                                                   SiteId(s)));
   }
   booted_ = true;
 }
@@ -89,6 +57,10 @@ Status Cluster::Bootstrap(
     const std::map<ItemId, std::vector<core::Value>>& alloc) {
   if (booted_) return Status::FailedPrecondition("cluster already booted");
   for (const auto& [item, shares] : alloc) {
+    if (!item.valid() || item.value() >= catalog_->num_items()) {
+      return Status::InvalidArgument("allocation for item " +
+                                     item.ToString() + " outside the catalog");
+    }
     if (shares.size() != options_.num_sites) {
       return Status::InvalidArgument("allocation size != num_sites");
     }
@@ -103,6 +75,17 @@ Status Cluster::Bootstrap(
       if (!catalog_->domain(item).ValidFragment(v)) {
         return Status::InvalidArgument("invalid fragment in allocation");
       }
+    }
+  }
+  // An item the allocation leaves out boots at the identity on every site,
+  // which conserves only an item whose total is the identity.
+  for (uint32_t i = 0; i < catalog_->num_items(); ++i) {
+    const core::ItemInfo& info = catalog_->info(ItemId(i));
+    if (!alloc.contains(ItemId(i)) &&
+        info.initial_total != info.domain->Identity()) {
+      return Status::InvalidArgument("allocation leaves out " + info.name +
+                                     ", whose initial total is not the "
+                                     "identity");
     }
   }
   for (uint32_t s = 0; s < options_.num_sites; ++s) {

@@ -63,11 +63,14 @@ class Cluster final : public world::SimWorld {
   void BootstrapEven();
 
   /// Boots with an explicit per-item, per-site allocation. Each vector must
-  /// have num_sites entries summing to the item's initial total.
+  /// have num_sites entries summing to the item's initial total; every item
+  /// must be in the catalog, and an item left out must have the identity as
+  /// its total. InvalidArgument otherwise.
   Status Bootstrap(const std::map<ItemId, std::vector<core::Value>>& alloc);
 
   /// Boots with item i's FULL initial total at its home site (i mod
-  /// num_sites) and nothing anywhere else. O(items) setup where an explicit
+  /// num_sites) and nothing anywhere else. Like BootstrapEven it records a
+  /// boot rule per site and writes nothing per item, where an explicit
   /// Bootstrap allocation is O(items × sites) — the difference between a
   /// million-item cluster booting instantly and building 10⁸ map entries.
   /// Placement starts maximally skewed, which is exactly the regime the
@@ -124,9 +127,9 @@ class Cluster final : public world::SimWorld {
 std::vector<core::Value> SplitEven(core::Value total, uint32_t n);
 
 /// Boots every site with its SplitEven share of every item: the allocation
-/// behind both facades' BootstrapEven. Each site computes only its own
-/// share, so a boot costs O(items × sites) with no per-item share vector.
-void BootEven(const core::Catalog& catalog,
-              const std::vector<std::unique_ptr<site::Site>>& sites);
+/// behind both facades' BootstrapEven. Each site records the even boot rule
+/// and writes nothing per item; only the placement layer, with hints on,
+/// lists every item in its advert ring.
+void BootEven(const std::vector<std::unique_ptr<site::Site>>& sites);
 
 }  // namespace dvp::system

@@ -40,7 +40,7 @@ RealCluster::~RealCluster() { Stop(); }
 void RealCluster::BootstrapEven() {
   assert(!real_->loop(SiteId(0)).running() &&
          "bootstrap must precede Start()");
-  BootEven(*catalog_, sites_);
+  BootEven(sites_);
 }
 
 void RealCluster::Start() { real_->Start(); }

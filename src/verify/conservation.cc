@@ -14,6 +14,7 @@ LogLedger::LogLedger(std::span<const wal::StableStorage* const> storages,
   uint32_t n = catalog ? catalog->num_items() : 0;
   durable_.resize(n);
   if (live) volatile_.resize(n);
+  std::vector<core::BootRule> boots;  // of the sites in the views
   for (const wal::StableStorage* storage : storages) {
     bool conserving = true;
     if (catalog != nullptr) {
@@ -23,9 +24,13 @@ LogLedger::LogLedger(std::span<const wal::StableStorage* const> storages,
       recovery::RecoveryReport report;
       conserving = recovery::RebuildStore(*storage, &scratch, &report).ok();
       if (conserving) {
+        // A resident fragment adds its difference from its boot share; the
+        // shares themselves are added once per item below.
         for (const auto& [item, frag] : scratch.resident_fragments()) {
-          durable_[item].site_total += frag.value;
+          durable_[item].site_total +=
+              frag.value - scratch.BootShare(ItemId(item));
         }
+        boots.push_back(storage->boot_rule());
         for (uint32_t i = 0; live && i < n; ++i) {
           std::optional<core::Value> v = live(storage->site(), ItemId(i));
           volatile_[i].site_total += v ? *v : scratch.value(ItemId(i));
@@ -35,6 +40,8 @@ LogLedger::LogLedger(std::span<const wal::StableStorage* const> storages,
     Scan(*storage, conserving);
   }
 
+  AddBootShares(boots);
+
   for (const auto& [vm, e] : vms_) {
     if (e.LiveIn(kDurableView) && e.durable_item.value() < n) {
       durable_[e.durable_item.value()].in_flight += e.durable_amount;
@@ -43,6 +50,37 @@ LogLedger::LogLedger(std::span<const wal::StableStorage* const> storages,
     if (live && e.LiveIn(kVolatileView) && e.item.value() < n) {
       volatile_[e.item.value()].in_flight += e.amount;
       ++volatile_[e.item.value()].live_vms;
+    }
+  }
+}
+
+void LogLedger::AddBootShares(std::span<const core::BootRule> boots) {
+  // Identity rules add nothing: Π is a sum, so its identity is zero.
+  std::vector<core::BootRule> shares;
+  for (const core::BootRule& b : boots) {
+    if (b.kind != core::BootRule::Kind::kIdentity) shares.push_back(b);
+  }
+  if (shares.empty()) return;
+  // The usual case: one even (or homed) boot over every site. Its shares
+  // partition each initial total, so an item absent on every site sums to
+  // it, and the audit never evaluates a share per site.
+  const core::BootRule& first = shares.front();
+  bool partition = shares.size() == first.num_sites;
+  std::vector<bool> seen(shares.size(), false);
+  for (const core::BootRule& b : shares) {
+    if (!partition) break;
+    partition = b.kind == first.kind && b.num_sites == first.num_sites &&
+                b.site < seen.size() && !seen[b.site];
+    if (partition) seen[b.site] = true;
+  }
+  for (uint32_t i = 0; i < durable_.size(); ++i) {
+    ItemId item(i);
+    if (partition) {
+      durable_[i].site_total += catalog_->info(item).initial_total;
+      continue;
+    }
+    for (const core::BootRule& b : shares) {
+      durable_[i].site_total += b.Share(*catalog_, item);
     }
   }
 }

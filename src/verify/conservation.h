@@ -83,11 +83,14 @@ struct VmEntry {
 class LogLedger {
  public:
   /// Reads every site once. With a catalog, each site's store is rebuilt to
-  /// yield its durable fragments (from resident fragments only, never the
-  /// whole catalog), and a site whose rebuild fails is left out of the
-  /// conservation views. With `live`, the volatile view is filled too; it
-  /// reads each up site's live value of every catalog item. Without a
-  /// catalog only the Vm entries and atomic-set anomalies are recorded.
+  /// yield its durable fragments: a resident fragment adds its difference
+  /// from the site's boot share, and an item absent on every site sums to
+  /// its boot shares — its initial total under one even or homed boot — so
+  /// the durable view costs O(items + resident), never O(items × sites). A
+  /// site whose rebuild fails is left out of the conservation views. With
+  /// `live`, the volatile view is filled too; it reads each up site's live
+  /// value of every catalog item. Without a catalog only the Vm entries and
+  /// atomic-set anomalies are recorded.
   LogLedger(std::span<const wal::StableStorage* const> storages,
             const core::Catalog* catalog, const LiveValueFn& live = nullptr);
 
@@ -120,6 +123,9 @@ class LogLedger {
     std::vector<ItemId> items;  ///< one per write
   };
 
+  /// Adds every item's boot shares, summed over the sites in the views, to
+  /// its durable site total.
+  void AddBootShares(std::span<const core::BootRule> boots);
   void Scan(const wal::StableStorage& storage, bool conserving);
 
   const core::Catalog* catalog_;

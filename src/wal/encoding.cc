@@ -96,27 +96,52 @@ bool Decoder::GetLengthPrefixed(std::string_view* s) {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables for the reflected Castagnoli polynomial: tables[0] is
+/// the bytewise table, and tables[k][b] is the CRC of byte b followed by k
+/// zero bytes, so eight table lookups advance the CRC by eight bytes.
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   constexpr uint32_t kPoly = 0x82f63b78;  // reflected Castagnoli
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int j = 0; j < 8; ++j) {
       crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
+}
+
+/// Little-endian load, whatever the host's byte order and the pointer's
+/// alignment.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 uint32_t Crc32c(std::string_view data) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+  static const CrcTables kT = MakeCrcTables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xffffffff;
-  for (char c : data) {
-    crc = kTable[(crc ^ static_cast<uint8_t>(c)) & 0xff] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = crc ^ LoadLe32(p);
+    uint32_t hi = LoadLe32(p + 4);
+    crc = kT[7][lo & 0xff] ^ kT[6][(lo >> 8) & 0xff] ^
+          kT[5][(lo >> 16) & 0xff] ^ kT[4][lo >> 24] ^ kT[3][hi & 0xff] ^
+          kT[2][(hi >> 8) & 0xff] ^ kT[1][(hi >> 16) & 0xff] ^ kT[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = kT[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   return crc ^ 0xffffffff;
 }
 

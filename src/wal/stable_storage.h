@@ -13,6 +13,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "dvpcore/boot_rule.h"
 #include "wal/record.h"
 
 namespace dvp::wal {
@@ -114,6 +115,12 @@ class StableStorage {
 
   const std::map<ItemId, ImageEntry>& image() const { return image_; }
 
+  /// What every fragment the image does not hold reads as: the site's boot
+  /// rule, written once at first boot. The image and the log hold only what
+  /// was written since.
+  void set_boot_rule(core::BootRule rule) { boot_rule_ = rule; }
+  const core::BootRule& boot_rule() const { return boot_rule_; }
+
   /// The image reflects log records with LSN < checkpoint_upto.
   void set_checkpoint_upto(uint64_t upto) { checkpoint_upto_ = upto; }
   uint64_t checkpoint_upto() const { return checkpoint_upto_; }
@@ -148,6 +155,7 @@ class StableStorage {
   SiteId site_;
   std::vector<std::string> encoded_;
   std::map<ItemId, ImageEntry> image_;
+  core::BootRule boot_rule_;
   uint64_t checkpoint_upto_ = 0;
   uint64_t incarnation_ = 0;
   uint64_t forces_ = 0;

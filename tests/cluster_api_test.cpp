@@ -101,6 +101,92 @@ TEST(ClusterBootstrapTest, RejectsInvalidFragment) {
   EXPECT_FALSE(cluster.Bootstrap(alloc).ok());
 }
 
+// An item the allocation leaves out boots at the identity everywhere; with a
+// non-identity total that is a cluster whose first audit fails.
+TEST(ClusterBootstrapTest, RejectsAllocationLeavingOutANonIdentityItem) {
+  core::Catalog catalog;
+  ItemId a = catalog.AddItem("a", CountDomain::Instance(), 100);
+  catalog.AddItem("b", CountDomain::Instance(), 40);
+  ClusterOptions opts;
+  opts.num_sites = 2;
+  Cluster cluster(&catalog, opts);
+  std::map<ItemId, std::vector<core::Value>> alloc;
+  alloc[a] = {60, 40};
+  Status s = cluster.Bootstrap(alloc);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+// Leaving out an item whose total IS the identity conserves, so it boots.
+TEST(ClusterBootstrapTest, AcceptsAllocationLeavingOutAnIdentityItem) {
+  core::Catalog catalog;
+  ItemId a = catalog.AddItem("a", CountDomain::Instance(), 100);
+  catalog.AddItem("empty", CountDomain::Instance(), 0);
+  ClusterOptions opts;
+  opts.num_sites = 2;
+  Cluster cluster(&catalog, opts);
+  std::map<ItemId, std::vector<core::Value>> alloc;
+  alloc[a] = {60, 40};
+  ASSERT_TRUE(cluster.Bootstrap(alloc).ok());
+  Status audit = cluster.AuditAll();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
+TEST(ClusterBootstrapTest, RejectsAllocationForAnItemOutsideTheCatalog) {
+  core::Catalog catalog;
+  ItemId a = catalog.AddItem("a", CountDomain::Instance(), 100);
+  ClusterOptions opts;
+  opts.num_sites = 2;
+  Cluster cluster(&catalog, opts);
+  std::map<ItemId, std::vector<core::Value>> alloc;
+  alloc[a] = {60, 40};
+  alloc[ItemId(1'000'000)] = {1, 1};  // right width, no such item
+  Status s = cluster.Bootstrap(alloc);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+}
+
+// An even or homed boot records one rule per site and writes nothing per
+// item: no resident fragment, no image entry, on either facade. The audit
+// still finds every item's initial total.
+TEST(ClusterBootstrapTest, RuleBootsWriteNothingPerItem) {
+  core::Catalog catalog;
+  for (int i = 0; i < 50; ++i) {
+    catalog.AddItem("item" + std::to_string(i), CountDomain::Instance(),
+                    10 + i);
+  }
+  for (bool homed : {false, true}) {
+    ClusterOptions opts;
+    opts.num_sites = 3;
+    Cluster cluster(&catalog, opts);
+    if (homed) {
+      cluster.BootstrapHomed();
+    } else {
+      cluster.BootstrapEven();
+    }
+    for (uint32_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(cluster.site(SiteId(s)).store()->resident_count(), 0u)
+          << "homed=" << homed << " site " << s;
+      EXPECT_TRUE(cluster.storage(SiteId(s)).image().empty())
+          << "homed=" << homed << " site " << s;
+    }
+    // Item 4 is homed at site 1; its even shares are 5/5/4.
+    EXPECT_EQ(cluster.site(SiteId(1)).LocalValue(ItemId(4)), homed ? 14 : 5);
+    EXPECT_EQ(cluster.site(SiteId(2)).LocalValue(ItemId(4)), homed ? 0 : 4);
+    EXPECT_EQ(cluster.TotalOf(ItemId(4)), 14);
+    Status audit = cluster.AuditAll();
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
+  }
+  system::RealClusterOptions opts;
+  opts.num_sites = 3;
+  system::RealCluster real(&catalog, opts);
+  real.BootstrapEven();
+  for (uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(real.site(SiteId(s)).store()->resident_count(), 0u) << s;
+    EXPECT_TRUE(real.storage(SiteId(s)).image().empty()) << s;
+  }
+  Status audit = real.AuditAll();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
 TEST(ClusterBootstrapTest, RejectsDoubleBootstrap) {
   core::Catalog catalog;
   catalog.AddItem("x", CountDomain::Instance(), 100);

@@ -263,6 +263,67 @@ TEST(ValueStoreTest, ResidencyTracksTouchedItemsNotCatalogWidth) {
   EXPECT_TRUE(store.resident_fragments().count(400));
 }
 
+// A boot rule makes an absent fragment read as the site's share of the
+// item's initial total; the first write — a lock-only SetTs included —
+// materialises it at that share, never at the identity.
+TEST(ValueStoreTest, AbsentFragmentsReadAsTheBootShare) {
+  Catalog catalog;
+  ItemId a = catalog.AddItem("a", CountDomain::Instance(), 10);
+  ItemId b = catalog.AddItem("b", CountDomain::Instance(), 7);
+  ValueStore store(&catalog);
+  store.set_boot_rule(BootRule::Even(3, SiteId(0)));
+  EXPECT_EQ(store.value(a), 4);  // 4/3/3
+  EXPECT_EQ(store.value(b), 3);  // 3/2/2
+  EXPECT_EQ(store.resident_count(), 0u);
+  store.SetTs(b, Timestamp(5, SiteId(0)));
+  EXPECT_EQ(store.resident_count(), 1u);
+  EXPECT_EQ(store.fragment(b).value, 3);
+  EXPECT_EQ(store.fragment(b).ts, Timestamp(5, SiteId(0)));
+
+  store.set_boot_rule(BootRule::Homed(3, SiteId(1)));
+  EXPECT_EQ(store.value(a), 0);  // item 0 is homed at site 0
+  EXPECT_EQ(store.value(b), 3);  // resident: keeps its written value
+}
+
+TEST(BootRuleTest, SharesOfOneBootPartitionEveryTotal) {
+  Catalog catalog;
+  for (Value total : {0, 1, 7, 100, 101}) {
+    catalog.AddItem("t" + std::to_string(total), CountDomain::Instance(),
+                    total);
+  }
+  for (uint32_t n : {1u, 3u, 4u}) {
+    for (ItemId item : catalog.AllItems()) {
+      Value even = 0;
+      Value homed = 0;
+      for (uint32_t s = 0; s < n; ++s) {
+        even += BootRule::Even(n, SiteId(s)).Share(catalog, item);
+        homed += BootRule::Homed(n, SiteId(s)).Share(catalog, item);
+        EXPECT_TRUE(BootRule::Even(n, SiteId(s)).Covers(item));
+        EXPECT_EQ(BootRule::Homed(n, SiteId(s)).Covers(item),
+                  item.value() % n == s);
+      }
+      EXPECT_EQ(even, catalog.info(item).initial_total);
+      EXPECT_EQ(homed, catalog.info(item).initial_total);
+      EXPECT_EQ(BootRule{}.Share(catalog, item), 0);
+      EXPECT_FALSE(BootRule{}.Covers(item));
+    }
+  }
+}
+
+// ForEachCovered visits exactly the items Covers accepts, in id order.
+TEST(BootRuleTest, ForEachCoveredStepsThroughTheCoveredItems) {
+  auto covered = [](BootRule rule) {
+    std::vector<uint32_t> out;
+    rule.ForEachCovered(10, [&](ItemId item) { out.push_back(item.value()); });
+    return out;
+  };
+  EXPECT_EQ(covered(BootRule::Homed(3, SiteId(1))),
+            (std::vector<uint32_t>{1, 4, 7}));
+  EXPECT_EQ(covered(BootRule::Even(3, SiteId(2))),
+            (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_TRUE(covered(BootRule{}).empty());
+}
+
 // Regression: an out-of-catalog item used to index fragments_[item.value()]
 // unchecked — UB in release builds. Reads now return the identity fragment.
 TEST(ValueStoreTest, OutOfCatalogReadIsIdentityNotUb) {

@@ -177,6 +177,102 @@ TEST(PlacementSparseTest, AdvertRingSeedsFromFragmentsResidentAtConstruction) {
   EXPECT_EQ(adverts[0].surplus, 50);
 }
 
+// ---- Boot-rule seeding -------------------------------------------------------
+//
+// A rule boot writes no fragment, so the advert ring is seeded from the boot
+// rule instead of from per-item installs. What the ring advertises must not
+// change: the expected strings were recorded from the per-item boot, which
+// installed every boot fragment (and imaged it) one by one.
+
+/// `frames` successive AdvertsFor frames from `s` as "item:surplus/demand".
+std::string AdvertTrace(system::Cluster& cluster, SiteId s, int frames) {
+  std::string out;
+  SiteId dst((s.value() + 1) % cluster.num_sites());
+  for (int f = 0; f < frames; ++f) {
+    for (const net::PlacementHint& h :
+         cluster.site(s).placement()->AdvertsFor(dst)) {
+      out += std::to_string(h.item.value()) + ":" + std::to_string(h.surplus) +
+             "/" + std::to_string(h.demand) + " ";
+    }
+    out += "|";
+  }
+  return out;
+}
+
+class AdvertSeedTest : public ::testing::Test {
+ protected:
+  void Build() {
+    for (int i = 0; i < 10; ++i) {
+      catalog_.AddItem("i" + std::to_string(i), CountDomain::Instance(),
+                       7 * i + 1);
+    }
+    system::ClusterOptions opts;
+    opts.num_sites = 3;
+    opts.seed = 17;
+    opts.site.placement.hints_per_frame = 4;
+    cluster_ = std::make_unique<system::Cluster>(&catalog_, opts);
+  }
+  void Send(SiteId from, SiteId to, uint32_t item, core::Value amount) {
+    ASSERT_TRUE(
+        cluster_->site(from).SendValue(to, ItemId(item), amount).ok());
+    cluster_->RunFor(100'000);
+  }
+  void CrashAndRecover(SiteId s) {
+    cluster_->CrashSite(s);
+    cluster_->RecoverSite(s);
+    cluster_->RunFor(100'000);
+    ASSERT_TRUE(cluster_->site(s).IsUp());
+  }
+
+  core::Catalog catalog_;
+  std::unique_ptr<system::Cluster> cluster_;
+};
+
+TEST_F(AdvertSeedTest, EvenBootAdvertisesAsThePerItemBootDid) {
+  Build();
+  cluster_->BootstrapEven();
+  EXPECT_EQ(AdvertTrace(*cluster_, SiteId(1), 4),
+            "9:21/0 1:3/0 2:5/0 3:7/0 |4:10/0 5:12/0 6:14/0 7:17/0 |"
+            "8:19/0 9:21/0 1:3/0 2:5/0 |3:7/0 4:10/0 5:12/0 6:14/0 |");
+}
+
+TEST_F(AdvertSeedTest, HomedBootAdvertisesAsThePerItemBootDid) {
+  Build();
+  cluster_->BootstrapHomed();
+  EXPECT_EQ(AdvertTrace(*cluster_, SiteId(1), 3),
+            "1:8/0 4:29/0 7:50/0 |1:8/0 4:29/0 7:50/0 |1:8/0 4:29/0 7:50/0 |");
+}
+
+// Recovered sites: the ring is the checkpoint image merged with the boot
+// rule's items in id order, then the replayed suffix's new items in log
+// order. The homed case puts a non-home item in the image and two more in
+// the suffix, so a seeding that put the rule's items first would show.
+TEST_F(AdvertSeedTest, RecoveredSitesAdvertiseAsThePerItemBootDid) {
+  Build();
+  cluster_->BootstrapHomed();
+  Send(SiteId(1), SiteId(0), 1, 5);
+  cluster_->site(SiteId(0)).Checkpoint();
+  Send(SiteId(2), SiteId(0), 8, 3);
+  Send(SiteId(1), SiteId(0), 4, 2);
+  Send(SiteId(0), SiteId(2), 3, 4);
+  CrashAndRecover(SiteId(0));
+  EXPECT_EQ(AdvertTrace(*cluster_, SiteId(0), 4),
+            "1:5/0 3:18/0 6:43/0 9:64/0 |8:3/0 4:2/0 0:1/0 1:5/0 |"
+            "3:18/0 6:43/0 9:64/0 8:3/0 |4:2/0 0:1/0 1:5/0 3:18/0 |");
+}
+
+TEST_F(AdvertSeedTest, RecoveredEvenSiteAdvertisesAsThePerItemBootDid) {
+  Build();
+  cluster_->BootstrapEven();
+  Send(SiteId(0), SiteId(2), 9, 20);
+  cluster_->site(SiteId(2)).Checkpoint();
+  Send(SiteId(1), SiteId(2), 3, 5);
+  CrashAndRecover(SiteId(2));
+  EXPECT_EQ(AdvertTrace(*cluster_, SiteId(2), 4),
+            "9:41/0 1:2/0 2:5/0 3:12/0 |4:9/0 5:12/0 6:14/0 7:16/0 |"
+            "8:19/0 9:41/0 1:2/0 2:5/0 |3:12/0 4:9/0 5:12/0 6:14/0 |");
+}
+
 // The rebalance tick evicts hint rows untouched for
 // cache_evict_staleness_windows staleness windows, so the cache is bounded
 // by recently-hinted items instead of growing with every item ever hinted.

@@ -169,6 +169,82 @@ TEST_F(RecoveryTest, DoubleCrashDuringOperationIsSafe) {
 // must hold and the system must still make progress. Without a crash the
 // scenario makes 16 appends at site 0; k sweeps all of them, and a k that
 // crashes nothing fails rather than re-running the no-fault path.
+// ---- Boot shares across a crash ---------------------------------------------
+//
+// A rule-booted site holds no fragment for an item it never touched: the item
+// reads as its boot share, and recovery must rebuild that share from the
+// stable boot rule — not the identity — while materialising nothing for it.
+
+TEST(BootShareRecoveryTest, UntouchedItemsRecoverTheirBootShare) {
+  core::Catalog catalog;
+  ItemId hot = catalog.AddItem("hot", CountDomain::Instance(), 100);
+  ItemId odd = catalog.AddItem("odd", CountDomain::Instance(), 31);
+  ItemId tiny = catalog.AddItem("tiny", CountDomain::Instance(), 7);
+  system::ClusterOptions opts;
+  opts.num_sites = 3;
+  system::Cluster cluster(&catalog, opts);
+  cluster.BootstrapEven();
+  TxnSpec spec;
+  spec.ops = {TxnOp::Decrement(hot, 4)};
+  bool committed = false;
+  ASSERT_TRUE(cluster
+                  .Submit(SiteId(0), spec,
+                          [&](const TxnResult& r) { committed = r.committed(); })
+                  .ok());
+  cluster.RunFor(1'000'000);
+  ASSERT_TRUE(committed);
+
+  cluster.CrashSite(SiteId(0));
+  EXPECT_EQ(cluster.site(SiteId(0)).DurableValue(odd), 11);
+  cluster.RecoverSite(SiteId(0));
+  cluster.RunFor(1'000'000);
+  site::Site& site = cluster.site(SiteId(0));
+  ASSERT_TRUE(site.IsUp());
+  EXPECT_EQ(site.LocalValue(hot), 30);  // 34 - 4
+  EXPECT_EQ(site.LocalValue(odd), 11);
+  EXPECT_EQ(site.LocalValue(tiny), 3);
+  EXPECT_EQ(site.store()->resident_count(), 1u);  // only the touched item
+  Status audit = cluster.AuditAll();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
+// Conc1 stamps a fragment when it locks it (SetTs). A transaction that only
+// locked the item — here a decrement that times out, its gather cut off by a
+// partition — materialises the fragment at its boot share, so a checkpoint
+// images the share and the crash keeps it.
+TEST(BootShareRecoveryTest, LockOnlyFragmentKeepsItsShareAcrossACrash) {
+  core::Catalog catalog;
+  ItemId item = catalog.AddItem("pool", CountDomain::Instance(), 100);
+  system::ClusterOptions opts;
+  opts.num_sites = 2;
+  opts.site.txn.timeout_us = 50'000;
+  system::Cluster cluster(&catalog, opts);
+  cluster.BootstrapEven();
+  ASSERT_TRUE(cluster.Partition({{SiteId(0)}, {SiteId(1)}}).ok());
+  TxnSpec spec;
+  spec.ops = {TxnOp::Decrement(item, 80)};
+  TxnResult result;
+  ASSERT_TRUE(cluster
+                  .Submit(SiteId(0), spec,
+                          [&](const TxnResult& r) { result = r; })
+                  .ok());
+  cluster.RunFor(500'000);
+  ASSERT_FALSE(result.committed());
+
+  site::Site& site = cluster.site(SiteId(0));
+  ASSERT_EQ(site.store()->resident_count(), 1u);  // materialised by the lock
+  EXPECT_NE(site.store()->ts(item), Timestamp::Zero());
+  EXPECT_EQ(site.LocalValue(item), 50);
+  site.Checkpoint();
+  EXPECT_EQ(cluster.storage(SiteId(0)).image().at(item).value, 50);
+  cluster.CrashSite(SiteId(0));
+  cluster.RecoverSite(SiteId(0));
+  cluster.RunFor(1'000'000);
+  EXPECT_EQ(site.LocalValue(item), 50);
+  Status audit = cluster.AuditAll();
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
 class CrashPointTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CrashPointTest, RecoveryIsCorrectFromEveryCrashPoint) {

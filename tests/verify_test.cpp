@@ -109,6 +109,24 @@ TEST_F(AuditorTest, VolatileViewRejectsAnUnforcedForgery) {
       << s.message();
 }
 
+// No site has touched `spare_`, so no store or image holds it: every site
+// reads it as its boot share. A forged write on it must still unbalance it.
+TEST_F(AuditorTest, DetectsAForgedWriteOnAnItemNoSiteTouched) {
+  ASSERT_TRUE(cluster_->AuditAll().ok());
+  wal::TxnCommitRec forged;
+  forged.txn = TxnId(424242);
+  forged.ts_packed = Timestamp(600, SiteId(1)).packed();
+  // The share is 50; the forged record claims 57 with no delta.
+  forged.writes = {wal::FragmentWrite{spare_, 57, 0, 0}};
+  cluster_->storage(SiteId(1)).Append(wal::LogRecord(forged));
+  Status s = cluster_->AuditAll();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("conservation violated for item spare: "
+                             "fragments=107"),
+            std::string::npos)
+      << s.message();
+}
+
 TEST_F(AuditorTest, FirstViolationIsReportedInCatalogOrder) {
   // Value from nowhere for both items, the later catalog item logged first:
   // the report follows catalog order, not log order.

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "common/rng.h"
 #include "wal/encoding.h"
 #include "wal/record.h"
 #include "wal/stable_storage.h"
@@ -103,6 +104,44 @@ TEST(EncodingTest, Crc32cKnownVector) {
   // RFC 3720 test vector: 32 bytes of zero.
   std::string zeros(32, '\0');
   EXPECT_EQ(Crc32c(zeros), 0x8a9136aau);
+}
+
+TEST(EncodingTest, Crc32cCheckValue) {
+  // The CRC-32C catalogue's check value.
+  EXPECT_EQ(Crc32c("123456789"), 0xe3069283u);
+  EXPECT_EQ(Crc32c(""), 0u);
+}
+
+/// Bit-at-a-time CRC-32C: the definition the sliced implementation must
+/// agree with.
+uint32_t ReferenceCrc32c(std::string_view data) {
+  uint32_t crc = 0xffffffff;
+  for (char c : data) {
+    crc ^= static_cast<uint8_t>(c);
+    for (int j = 0; j < 8; ++j) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78 : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffff;
+}
+
+// Every start alignment 0-7 and lengths 0-4096 (the short tails, the eight-
+// byte body, and both together), against the reference.
+TEST(EncodingTest, Crc32cMatchesTheBitwiseReference) {
+  Rng rng(20261019);
+  std::string buf(4096 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.NextU64() & 0xff);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 4095, 4096}) {
+      std::string_view v(buf.data() + align, len);
+      ASSERT_EQ(Crc32c(v), ReferenceCrc32c(v)) << align << "+" << len;
+    }
+    for (int trial = 0; trial < 64; ++trial) {
+      size_t len = rng.NextU64() % 4097;
+      std::string_view v(buf.data() + align, len);
+      ASSERT_EQ(Crc32c(v), ReferenceCrc32c(v)) << align << "+" << len;
+    }
+  }
 }
 
 TEST(EncodingTest, CrcDetectsSingleBitFlip) {
