@@ -1,10 +1,15 @@
 // Substrate micro-benchmarks (google-benchmark): the costs that set the
-// simulator's capacity — event scheduling, WAL record encode/decode+CRC,
-// PRNG draws, Zipf sampling, and lock-table operations.
+// simulator's capacity — event scheduling, the timer queue both backends
+// share, the real event loop's cross-thread hand-off, WAL record
+// encode/decode+CRC, PRNG draws, Zipf sampling, and lock-table operations.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "cc/lock_manager.h"
 #include "common/rng.h"
+#include "runtime/real.h"
+#include "runtime/timer_queue.h"
 #include "sim/kernel.h"
 #include "wal/record.h"
 
@@ -24,6 +29,41 @@ void BM_KernelScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_KernelScheduleRun);
+
+// The ack-timer pattern: arm a batch, cancel half before they fire (acks
+// that piggybacked), drain the rest. Items are armed timers.
+void BM_TimerQueueArmCancel(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  std::vector<runtime::TimerHandle> handles;
+  handles.reserve(n);
+  for (auto _ : state) {
+    runtime::TimerQueue queue;
+    uint64_t sum = 0;
+    handles.clear();
+    for (int i = 0; i < n; ++i) {
+      handles.push_back(queue.Push(i, [&sum, i]() { sum += uint64_t(i); }));
+    }
+    for (int i = 0; i < n; i += 2) handles[i].Cancel();
+    runtime::TimerQueue::Entry e;
+    while (queue.PopDue(kSimTimeMax, &e)) e.fn();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TimerQueueArmCancel)->Arg(1024);
+
+// One cross-thread hand-off on the real backend: Post onto a site's loop,
+// wake it, run an empty function there, and wait for it to finish.
+void BM_EventLoopPostRoundTrip(benchmark::State& state) {
+  runtime::Real real(1);
+  real.Start();
+  for (auto _ : state) {
+    real.RunOn(SiteId(0), [] {});
+  }
+  real.Stop();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventLoopPostRoundTrip)->UseRealTime();
 
 void BM_WalEncodeDecodeCommit(benchmark::State& state) {
   wal::TxnCommitRec rec;

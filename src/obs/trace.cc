@@ -4,7 +4,7 @@
 #include <fstream>
 #include <map>
 
-#include "sim/kernel.h"
+#include "runtime/runtime.h"
 
 namespace dvp::obs {
 
@@ -35,21 +35,21 @@ void TraceRecorder::Push(const TraceEvent& e) {
 void TraceRecorder::Begin(SiteId site, Track track, const char* name,
                           uint64_t id, const char* k1, uint64_t v1,
                           const char* k2, uint64_t v2) {
-  Push({kernel_ ? kernel_->Now() : 0, static_cast<uint32_t>(site.value()),
+  Push({clock_ ? clock_->Now() : 0, static_cast<uint32_t>(site.value()),
         track, 'b', name, id, k1, v1, k2, v2});
 }
 
 void TraceRecorder::End(SiteId site, Track track, const char* name,
                         uint64_t id, const char* k1, uint64_t v1,
                         const char* k2, uint64_t v2) {
-  Push({kernel_ ? kernel_->Now() : 0, static_cast<uint32_t>(site.value()),
+  Push({clock_ ? clock_->Now() : 0, static_cast<uint32_t>(site.value()),
         track, 'e', name, id, k1, v1, k2, v2});
 }
 
 void TraceRecorder::Instant(SiteId site, Track track, const char* name,
                             uint64_t id, const char* k1, uint64_t v1,
                             const char* k2, uint64_t v2) {
-  Push({kernel_ ? kernel_->Now() : 0, static_cast<uint32_t>(site.value()),
+  Push({clock_ ? clock_->Now() : 0, static_cast<uint32_t>(site.value()),
         track, 'i', name, id, k1, v1, k2, v2});
 }
 

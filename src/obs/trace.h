@@ -1,5 +1,6 @@
-// Causal trace recorder: typed span/instant events over the simulation's
-// virtual clock, exported as Perfetto/chrome trace_event JSON.
+// Causal trace recorder: typed span/instant events stamped from the runtime
+// seam's clock (virtual on the sim kernel), exported as Perfetto/chrome
+// trace_event JSON.
 //
 // Determinism contract: recording NEVER touches the kernel's event queue,
 // any RNG stream, or component state — it appends to a vector and stamps the
@@ -28,8 +29,8 @@
 
 #include "common/types.h"
 
-namespace dvp::sim {
-class Kernel;
+namespace dvp::runtime {
+class Runtime;
 }
 
 namespace dvp::obs {
@@ -60,10 +61,10 @@ class TraceRecorder {
   explicit TraceRecorder(size_t max_events = size_t{1} << 20)
       : max_events_(max_events) {}
 
-  /// Binds the virtual clock events are stamped with. The owner of the
-  /// kernel (Cluster) attaches on construction; events recorded while
-  /// unattached are stamped at ts 0.
-  void Attach(const sim::Kernel* kernel) { kernel_ = kernel; }
+  /// Binds the clock events are stamped with. The owner of the runtime
+  /// (Cluster, with its kernel) attaches on construction; events recorded
+  /// while unattached are stamped at ts 0.
+  void Attach(const runtime::Runtime* clock) { clock_ = clock; }
 
   void Begin(SiteId site, Track track, const char* name, uint64_t id,
              const char* k1 = nullptr, uint64_t v1 = 0,
@@ -99,7 +100,7 @@ class TraceRecorder {
  private:
   void Push(const TraceEvent& e);
 
-  const sim::Kernel* kernel_ = nullptr;
+  const runtime::Runtime* clock_ = nullptr;
   size_t max_events_;
   std::vector<TraceEvent> events_;
   uint64_t dropped_ = 0;

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 
@@ -29,6 +31,17 @@ constexpr size_t kMaxDatagram = 65000;
 /// were ever lost; normal shutdown is pipe-driven and immediate.
 constexpr int kMaxPollMs = 100;
 
+/// A syscall the runtime cannot do without failed. Refused in every build
+/// type: a loop without its wakeup pipe would only wake on its poll ceiling,
+/// a site without its socket would never receive, a loop whose poll() fails
+/// would return and leave its site dead — each silently.
+[[noreturn]] void DieOnSyscall(const char* call, const std::string& where) {
+  int err = errno;
+  std::fprintf(stderr, "runtime: %s: %s() failed: %s (errno %d)\n",
+               where.c_str(), call, std::strerror(err), err);
+  std::abort();
+}
+
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -40,8 +53,7 @@ void SetNonBlocking(int fd) {
 
 EventLoop::EventLoop(Clock::time_point epoch, std::string name)
     : epoch_(epoch), name_(std::move(name)) {
-  [[maybe_unused]] int rc = ::pipe(wake_fds_);
-  assert(rc == 0 && "pipe() failed");
+  if (::pipe(wake_fds_) != 0) DieOnSyscall("pipe", name_);
   SetNonBlocking(wake_fds_[0]);
   SetNonBlocking(wake_fds_[1]);
 }
@@ -59,20 +71,19 @@ SimTime EventLoop::Now() const {
 }
 
 TimerHandle EventLoop::ScheduleAt(SimTime when, std::function<void()> fn) {
-  auto state = std::make_shared<TimerState>();
+  TimerHandle handle;
   bool wake;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // The new timer needs a wakeup only when it becomes the earliest —
     // otherwise the loop's current poll deadline already covers it.
-    wake = heap_.empty() || when < heap_.front().when;
-    heap_.push_back(Timer{when, next_seq_++, std::move(fn), state});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    wake = when < queue_.TopTime();
+    handle = queue_.Push(when, std::move(fn));
   }
   if (wake && started_.load(std::memory_order_acquire) && !OnLoopThread()) {
     Wake();
   }
-  return TimerHandle(std::move(state));
+  return handle;
 }
 
 void EventLoop::RegisterFd(int fd, std::function<void()> on_readable) {
@@ -107,39 +118,24 @@ void EventLoop::Wake() {
   [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
 }
 
-bool EventLoop::PopDue(SimTime now, Timer* out, SimTime* next_when) {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (!heap_.empty()) {
-    Timer& top = heap_.front();
-    if (top.state->cancelled.load(std::memory_order_acquire)) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.back().state->Retire();
-      heap_.pop_back();
-      continue;
-    }
-    if (top.when > now) {
-      *next_when = top.when;
-      return false;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    *out = std::move(heap_.back());
-    heap_.pop_back();
-    out->state->Retire();
-    return true;
-  }
-  *next_when = kSimTimeMax;
-  return false;
-}
-
 void EventLoop::Run() {
-  std::vector<pollfd> pfds;
-  pfds.reserve(1 + fd_handlers_.size());
+  // The polled set is fixed once the loop starts; poll() rewrites revents.
+  std::vector<pollfd> pfds{pollfd{wake_fds_[0], POLLIN, 0}};
+  for (const FdHandler& h : fd_handlers_) pfds.push_back({h.fd, POLLIN, 0});
   while (true) {
     // Drain every due timer, re-reading the clock as we go: a callback may
     // schedule an immediate follow-up that is due in the same pass.
-    SimTime next_when = kSimTimeMax;
-    Timer timer;
-    while (PopDue(Now(), &timer, &next_when)) {
+    TimerQueue::Entry timer;
+    SimTime next_when;
+    while (true) {
+      SimTime now = Now();
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!queue_.PopDue(now, &timer)) {
+          next_when = queue_.NextTime();
+          break;
+        }
+      }
       // Cancelled-after-pop is indistinguishable from cancelled-after-fire
       // (the documented race); run it — PopDue filtered the settled cases.
       timer.fn();
@@ -154,27 +150,15 @@ void EventLoop::Run() {
     // still strictly before any blocking wait.
     for (const auto& flush : flush_fns_) flush();
 
-    int timeout_ms = kMaxPollMs;
-    if (next_when != kSimTimeMax) {
-      SimTime delta_us = next_when - Now();
-      if (delta_us <= 0) {
-        timeout_ms = 0;
-      } else {
-        timeout_ms = static_cast<int>(
-            std::min<SimTime>((delta_us + 999) / 1000, kMaxPollMs));
-      }
-    }
-
-    pfds.clear();
-    pfds.push_back(pollfd{wake_fds_[0], POLLIN, 0});
-    for (const FdHandler& h : fd_handlers_) {
-      pfds.push_back(pollfd{h.fd, POLLIN, 0});
-    }
+    // Wait until the next deadline, rounded up to whole ms, at most the
+    // ceiling (an empty queue's kSimTimeMax included).
+    SimTime delta_us = std::min<SimTime>(next_when - Now(), kMaxPollMs * 1000);
+    int timeout_ms =
+        static_cast<int>(std::max<SimTime>((delta_us + 999) / 1000, 0));
     int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
-      assert(false && "poll() failed");
-      return;
+      DieOnSyscall("poll", name_);
     }
     if (pfds[0].revents & POLLIN) {
       char buf[64];
@@ -215,19 +199,21 @@ UdpConduit::UdpConduit(std::vector<EventLoop*> loops, Options options)
   for (uint32_t s = 0; s < n; ++s) {
     send_states_[s] = std::make_unique<SendState>();
     recv_states_[s] = std::make_unique<RecvState>();
+    const std::string& where = loops_[s]->name();
     int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-    assert(fd >= 0 && "socket() failed");
+    if (fd < 0) DieOnSyscall("socket", where);
+    fds_[s] = fd;
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = 0;  // ephemeral
-    [[maybe_unused]] int rc =
-        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    assert(rc == 0 && "bind() failed");
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+      DieOnSyscall("bind", where);
+    }
     socklen_t len = sizeof addr;
-    rc = ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    assert(rc == 0 && "getsockname() failed");
-    fds_[s] = fd;
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      DieOnSyscall("getsockname", where);
+    }
     ports_[s] = ntohs(addr.sin_port);
     loops_[s]->RegisterFd(fd, [this, s] { DrainSocket(s); });
     loops_[s]->AddFlushFn([this, s] { FlushSends(s); });
@@ -513,26 +499,20 @@ void UdpConduit::ExportStats(obs::MetricsRegistry* metrics) const {
 
 // ---- Real ------------------------------------------------------------------
 
-Real::Real(uint32_t num_sites, Options options)
-    : epoch_(EventLoop::Clock::now()) {
+Real::Real(uint32_t num_sites, Options options) {
+  const EventLoop::Clock::time_point epoch = EventLoop::Clock::now();
   loops_.reserve(num_sites);
   std::vector<EventLoop*> raw;
   raw.reserve(num_sites);
   for (uint32_t s = 0; s < num_sites; ++s) {
     loops_.push_back(std::make_unique<EventLoop>(
-        epoch_, "site-" + std::to_string(s)));
+        epoch, "site-" + std::to_string(s)));
     raw.push_back(loops_.back().get());
   }
   conduit_ = std::make_unique<UdpConduit>(std::move(raw), options.net);
 }
 
 Real::~Real() { Stop(); }
-
-SimTime Real::Now() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             EventLoop::Clock::now() - epoch_)
-      .count();
-}
 
 void Real::Start() {
   for (auto& loop : loops_) loop->Start();

@@ -1,18 +1,13 @@
-// The real backend of the runtime seam: one OS thread per site, a monotonic
-// steady clock, poll()-driven timers, and loopback UDP datagrams framed with
-// the packet byte codec. The protocol sources that run here are byte-for-byte
-// the ones the sim kernel runs — the seam (runtime::Runtime, net::Conduit)
-// is the only thing that changes underneath them.
-//
-// What carries over from the sim and what does not:
-//  * Per-site single-threadedness carries over: every timer, every delivery
-//    for a site runs on that site's one loop thread, so the protocol state
-//    stays lock-free exactly as in the kernel.
-//  * Loss, reordering, and duplication are real now; the transport's
-//    retransmission/dedup machinery — exercised for years under the sim's
-//    fault models — is what makes the system correct on top of them.
-//  * Determinism does NOT carry over. A real run is not replayable; the
-//    kernel remains the correctness oracle (chaos swarm, pinned benches).
+// The real backend of the runtime seam (runtime/runtime.h): one OS thread
+// per site, a monotonic steady clock, poll()-driven timers, and loopback UDP
+// datagrams framed with the packet byte codec, under the same protocol
+// sources the sim kernel runs. Timers live in runtime::TimerQueue, the queue
+// the kernel uses too; this backend owns the mutex around it, the steady
+// clock, the poll() step with its fd handlers and flush hooks, and the UDP
+// conduit. Per-site single-threadedness carries over from the sim (every
+// timer and delivery for a site runs on its one loop thread); loss,
+// reordering and duplication are real; determinism does not carry over, so
+// the kernel stays the correctness oracle.
 #pragma once
 
 #include <atomic>
@@ -29,6 +24,7 @@
 #include "common/types.h"
 #include "net/conduit.h"
 #include "runtime/runtime.h"
+#include "runtime/timer_queue.h"
 
 namespace dvp::obs {
 class MetricsRegistry;
@@ -36,7 +32,7 @@ class MetricsRegistry;
 
 namespace dvp::runtime {
 
-/// One site's runtime: a thread, a timer heap, and a poll() loop over a
+/// One site's runtime: a thread, a timer queue, and a poll() loop over a
 /// wakeup pipe plus any registered sockets. Implements the Runtime seam with
 /// a monotonic steady clock (microseconds since a shared epoch, so every
 /// loop in one process agrees on Now() to within clock-read jitter).
@@ -57,10 +53,8 @@ class EventLoop final : public Runtime {
   /// Microseconds since the shared epoch. Monotone by construction.
   SimTime Now() const override;
 
-  /// Schedules `fn` at absolute time `when` (clamped to now if already
-  /// past). Thread-safe; wakes the loop when the new timer becomes the
-  /// earliest. Timers with equal deadlines fire in schedule order (FIFO
-  /// tie-break, matching the kernel).
+  /// Schedules `fn` at absolute time `when` (a past `when` is due at once).
+  /// Thread-safe; wakes the loop when the new timer becomes the earliest.
   TimerHandle ScheduleAt(SimTime when, std::function<void()> fn) override;
 
   /// Runs `fn` on the loop thread as soon as possible. The marshalling
@@ -100,26 +94,8 @@ class EventLoop final : public Runtime {
   }
 
  private:
-  struct Timer {
-    SimTime when;
-    uint64_t seq;  // FIFO tie-break; unique, so the order is total
-    std::function<void()> fn;
-    std::shared_ptr<TimerState> state;
-  };
-  /// "a fires later than b" — min-heap via std::push_heap/pop_heap.
-  struct Later {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
   void Run();
   void Wake();
-  /// Pops the next due live timer (cancelled tops are retired and
-  /// discarded). Returns false and reports the next deadline (or
-  /// kSimTimeMax) when nothing is due.
-  bool PopDue(SimTime now, Timer* out, SimTime* next_when);
 
   const Clock::time_point epoch_;
   const std::string name_;
@@ -129,9 +105,8 @@ class EventLoop final : public Runtime {
   std::atomic<bool> started_{false};
   std::atomic<uint64_t> timers_fired_{0};
 
-  mutable std::mutex mu_;
-  std::vector<Timer> heap_;  // guarded by mu_
-  uint64_t next_seq_ = 0;    // guarded by mu_
+  std::mutex mu_;
+  TimerQueue queue_;  // guarded by mu_
   struct FdHandler {
     int fd;
     std::function<void()> on_readable;
@@ -295,9 +270,6 @@ class Real {
   UdpConduit& conduit() { return *conduit_; }
   uint32_t num_sites() const { return static_cast<uint32_t>(loops_.size()); }
 
-  /// Microseconds since construction (the epoch every loop shares).
-  SimTime Now() const;
-
   void Start();
   void Stop();
 
@@ -306,7 +278,6 @@ class Real {
   void RunOn(SiteId site, std::function<void()> fn);
 
  private:
-  EventLoop::Clock::time_point epoch_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::unique_ptr<UdpConduit> conduit_;
 };

@@ -1,21 +1,19 @@
 // The runtime seam: the clock-and-timer interface every protocol layer
 // (site/, txn/, vm/, placement/, net/transport, wal/group_commit) programs
 // against, so the identical protocol sources compile against either backend:
-//
-//  * sim::Kernel — the deterministic discrete-event kernel. Single-threaded,
-//    virtual time, a run is a pure function of (seed, schedule). Still the
-//    correctness oracle: the chaos swarm and every pinned bench stay here.
-//  * runtime::EventLoop (runtime/real.h) — one OS thread per site, a
-//    monotonic steady clock, poll()-driven timers and sockets. Wall-clock
-//    time, true parallelism, none of the sim's determinism guarantees.
+// sim::Kernel (sim/kernel.h; virtual time, deterministic, the correctness
+// oracle) or runtime::EventLoop (runtime/real.h; one OS thread per site, a
+// steady clock). This header owns the contract and the cancellation handle;
+// both backends keep their timers in runtime::TimerQueue
+// (runtime/timer_queue.h) and add only a clock.
 //
 // Contract both backends honour (runtime_conformance_test pins it):
 //  * Now() is monotone non-decreasing, in microseconds.
 //  * ScheduleAt(when, fn) runs fn at the earliest instant the backend's
 //    clock reaches `when`; two timers never run concurrently on one runtime
 //    (per-site single-threadedness is what keeps protocol state lock-free).
-//  * Timers with equal deadlines run in schedule order (sim guarantees it
-//    exactly; the real loop preserves it via a FIFO tie-break).
+//  * Timers with equal deadlines run in schedule order (only the sim's
+//    opt-in perturbation shuffles them).
 //  * TimerHandle::Cancel() is idempotent, safe after the timer fired, safe
 //    from a timer callback, and safe from any thread — the flag is atomic
 //    and the shared state outlives both the runtime and the handle.
@@ -31,25 +29,36 @@
 
 namespace dvp::runtime {
 
-/// Shared cancellation state of one scheduled timer. The owning runtime
-/// keeps one reference inside its queue entry; any number of handles keep
-/// others. `tally` (optional) points at the owner's count of
-/// cancelled-but-still-queued entries — the tombstone counter that lets the
-/// owner report live event counts and decide when to compact. The counter is
-/// shared (not raw) so a handle outliving its runtime cancels into memory
-/// that is still alive.
+/// Shared cancellation state of one scheduled timer: one reference in the
+/// queue entry, others in handles. `tally` (optional) is the owner's count
+/// of cancelled-but-queued entries (tombstones), shared so a handle that
+/// outlives its runtime still cancels into live memory. Cancel and Retire
+/// (the entry leaving its queue) set bits of one atomic word, so when they
+/// race on two threads whichever lands first decides, and the tombstone is
+/// counted exactly as often as it is uncounted.
 struct TimerState {
-  std::atomic<bool> cancelled{false};
-  /// Set by the owner when the entry leaves its queue (fired, discarded, or
-  /// compacted away); a Cancel() after that must not count a tombstone.
-  std::atomic<bool> retired{false};
+  static constexpr uint8_t kCancelled = 1;
+  static constexpr uint8_t kRetired = 2;
+
+  std::atomic<uint8_t> flags{0};
   std::shared_ptr<std::atomic<int64_t>> tally;
 
-  /// Owner-side: the entry is leaving the queue. Balances the tombstone
-  /// tally if the timer was cancelled while queued.
+  bool cancelled() const {
+    return flags.load(std::memory_order_acquire) & kCancelled;
+  }
+
+  /// Counts a tombstone on the first cancel of a still-queued entry.
+  void Cancel() {
+    uint8_t old = flags.fetch_or(kCancelled, std::memory_order_acq_rel);
+    if (!(old & (kCancelled | kRetired)) && tally) {
+      tally->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// Owner-side, as the entry leaves the queue: uncounts its tombstone.
   void Retire() {
-    retired.store(true, std::memory_order_release);
-    if (cancelled.load(std::memory_order_acquire) && tally) {
+    uint8_t old = flags.fetch_or(kRetired, std::memory_order_acq_rel);
+    if ((old & kCancelled) && tally) {
       tally->fetch_sub(1, std::memory_order_relaxed);
     }
   }
@@ -67,27 +76,19 @@ class TimerHandle {
   /// Cancels the timer if it has not fired yet. Idempotent; callable from
   /// any thread and harmless after the timer fired.
   void Cancel() {
-    if (!state_) return;
-    if (!state_->cancelled.exchange(true, std::memory_order_acq_rel)) {
-      if (!state_->retired.load(std::memory_order_acquire) && state_->tally) {
-        state_->tally->fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    if (state_) state_->Cancel();
   }
 
   bool valid() const { return state_ != nullptr; }
-  bool cancelled() const {
-    return state_ && state_->cancelled.load(std::memory_order_acquire);
-  }
+  bool cancelled() const { return state_ && state_->cancelled(); }
 
  private:
   std::shared_ptr<TimerState> state_;
 };
 
-/// The seam itself: a clock and a timer queue. Everything the protocol
-/// layers ever asked of the sim kernel, and nothing more — transport
-/// endpoints live behind net::Conduit, stable storage behind
-/// wal::StableStorage, both runtime-agnostic already.
+/// The seam itself: a clock and cancellable timers, and nothing more —
+/// transport endpoints live behind net::Conduit, stable storage behind
+/// wal::StableStorage.
 class Runtime {
  public:
   virtual ~Runtime() = default;

@@ -1,20 +1,13 @@
 #include "sim/kernel.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace dvp::sim {
 
-namespace {
-/// Below this many entries a compaction pass costs more than the garbage.
-constexpr size_t kCompactionFloor = 64;
-}  // namespace
-
 EventHandle Kernel::ScheduleAt(SimTime when, std::function<void()> fn) {
   assert(when >= now_ && "cannot schedule in the past");
-  uint64_t seq = next_seq_++;
-  uint64_t tie = seq;
+  std::optional<uint64_t> tie;
   if (perturb_rng_) {
     if (perturb_.max_jitter_us > 0) {
       when += static_cast<SimTime>(perturb_rng_->NextBounded(
@@ -22,57 +15,10 @@ EventHandle Kernel::ScheduleAt(SimTime when, std::function<void()> fn) {
     }
     if (perturb_.shuffle_ties) tie = perturb_rng_->NextU64();
   }
-  auto state = std::make_shared<runtime::TimerState>();
-  state->tally = tombstones_;
-  heap_.push_back(Event{when, tie, seq, std::move(fn), state});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  MaybeCompact();
-  return EventHandle(std::move(state));
+  return queue_.Push(when, std::move(fn), tie);
 }
 
-Kernel::Event Kernel::PopTop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  ev.state->Retire();
-  return ev;
-}
-
-void Kernel::MaybeCompact() {
-  int64_t dead = tombstones_->load(std::memory_order_relaxed);
-  if (heap_.size() < kCompactionFloor ||
-      dead <= static_cast<int64_t>(heap_.size() / 2)) {
-    return;
-  }
-  auto live_end = std::remove_if(heap_.begin(), heap_.end(), [](Event& ev) {
-    if (!ev.cancelled()) return false;
-    ev.state->Retire();
-    return true;
-  });
-  heap_.erase(live_end, heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-SimTime Kernel::NextEventTime() {
-  while (!heap_.empty() && heap_.front().cancelled()) PopTop();
-  return heap_.empty() ? kSimTimeMax : heap_.front().when;
-}
-
-bool Kernel::PopNextLive(SimTime until, Event* out) {
-  while (!heap_.empty()) {
-    // Discard cancelled tombstones without advancing time.
-    if (heap_.front().cancelled()) {
-      PopTop();
-      continue;
-    }
-    if (heap_.front().when > until) return false;
-    *out = PopTop();
-    return true;
-  }
-  return false;
-}
-
-void Kernel::Execute(Event& ev) {
+void Kernel::Execute(runtime::TimerQueue::Entry& ev) {
   now_ = ev.when;
   ev.fn();
   ++events_executed_;
@@ -80,16 +26,16 @@ void Kernel::Execute(Event& ev) {
 }
 
 bool Kernel::Step() {
-  Event ev;
-  if (!PopNextLive(kSimTimeMax, &ev)) return false;
+  runtime::TimerQueue::Entry ev;
+  if (!queue_.PopDue(kSimTimeMax, &ev)) return false;
   Execute(ev);
   return true;
 }
 
 uint64_t Kernel::Run(SimTime until) {
   uint64_t executed = 0;
-  Event ev;
-  while (PopNextLive(until, &ev)) {
+  runtime::TimerQueue::Entry ev;
+  while (queue_.PopDue(until, &ev)) {
     Execute(ev);
     ++executed;
   }

@@ -1,35 +1,28 @@
-// Deterministic discrete-event simulation kernel. All components (sites,
-// network links, workload generators, failure injectors) schedule callbacks
-// on a shared virtual clock. Determinism comes from (time, sequence) ordering
-// of events and seeded RNG streams — a run is a pure function of its seed and
-// schedule, which is what lets the tests assert exact invariants under fault
-// injection.
-//
-// The kernel is the deterministic implementation of runtime::Runtime — the
-// same protocol code that runs here runs on runtime::EventLoop threads with
-// a real clock (runtime/real.h). The kernel remains the correctness oracle:
-// only it can replay a run bit-for-bit.
+// Deterministic discrete-event simulation kernel: the sim backend of the
+// runtime seam (runtime/runtime.h). Every component schedules callbacks on
+// one virtual clock, and a run is a pure function of its seed and schedule,
+// which makes the kernel the correctness oracle: only it replays a run
+// bit-for-bit. Timers live in runtime::TimerQueue, the queue the real event
+// loop uses too; the kernel owns the virtual clock, the perturbation draws,
+// the executed-event count and the post-event hook.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
 #include "runtime/runtime.h"
+#include "runtime/timer_queue.h"
 
 namespace dvp::sim {
 
-/// Opt-in schedule perturbation: the chaos harness searches *interleavings*,
-/// not just fault timings, by (a) randomising the order of same-timestamp
-/// events and (b) adding bounded random delay to every scheduled event. Both
-/// draws happen at ScheduleAt time from a dedicated seeded stream, so a
-/// perturbed run is still a pure function of (seed, schedule) — replayable
-/// and shrinkable. Disabled (the default) the kernel is byte-identical to
-/// the unperturbed FIFO tie-break behaviour.
+/// Opt-in schedule perturbation: the chaos harness searches interleavings,
+/// not just fault timings, by shuffling same-timestamp events and adding
+/// bounded random delay to every event. Both draws happen at ScheduleAt from
+/// a dedicated seeded stream, so a perturbed run is still a pure function of
+/// (seed, schedule). Disabled (the default), ties run FIFO.
 struct PerturbOptions {
   uint64_t seed = 0;
   /// Randomise execution order among events with equal timestamps.
@@ -40,16 +33,13 @@ struct PerturbOptions {
   bool enabled() const { return shuffle_ties || max_jitter_us > 0; }
 };
 
-/// Handle to a scheduled event; allows cancellation (used for transaction
-/// timeout counters that are disarmed when all replies arrive). The shared
-/// type with the real runtime: cancel-safe across threads, harmless after
-/// fire.
+/// Handle to a scheduled event: the seam's TimerHandle.
 using EventHandle = runtime::TimerHandle;
 
-/// The event queue + virtual clock.
+/// The timer queue + virtual clock.
 class Kernel final : public runtime::Runtime {
  public:
-  Kernel() : tombstones_(std::make_shared<std::atomic<int64_t>>(0)) {}
+  Kernel() = default;
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
@@ -69,24 +59,13 @@ class Kernel final : public runtime::Runtime {
   /// True when no live events remain.
   bool Idle() const { return PendingEvents() == 0; }
 
-  /// Virtual time of the next live (non-cancelled) event, or kSimTimeMax
-  /// when the queue is drained. Pops cancelled tombstones as a side effect.
-  SimTime NextEventTime();
+  /// Virtual time of the next live event, or kSimTimeMax when drained.
+  SimTime NextEventTime() { return queue_.NextTime(); }
 
-  /// Number of LIVE pending events. Cancelled-but-unpopped tombstones are
-  /// excluded: a long-lived rig that arms and cancels many ack timers sees
-  /// its true backlog, not the garbage awaiting compaction.
-  size_t PendingEvents() const {
-    int64_t dead = tombstones_->load(std::memory_order_relaxed);
-    if (dead < 0) dead = 0;
-    size_t total = heap_.size();
-    return total > static_cast<size_t>(dead) ? total - static_cast<size_t>(dead)
-                                             : 0;
-  }
-
-  /// Queue entries including tombstones (test/debug visibility of the
-  /// compaction machinery).
-  size_t QueueEntries() const { return heap_.size(); }
+  /// Live (not cancelled) pending events, and all queue entries including
+  /// cancelled tombstones — see runtime::TimerQueue.
+  size_t PendingEvents() const { return queue_.Live(); }
+  size_t QueueEntries() const { return queue_.Queued(); }
 
   /// Total events executed since construction.
   uint64_t events_executed() const { return events_executed_; }
@@ -103,56 +82,13 @@ class Kernel final : public runtime::Runtime {
     perturb_ = opts;
     if (opts.enabled()) perturb_rng_.emplace(opts.seed * 0x9e3779b97f4a7c15ull + 0x5eed);
   }
-  const PerturbOptions& perturbation() const { return perturb_; }
 
  private:
-  struct Event {
-    SimTime when;
-    uint64_t tie;  // FIFO seq, or a random key when shuffle_ties is on
-    uint64_t seq;  // unique; final tie-break keeps the order total
-    std::function<void()> fn;
-    std::shared_ptr<runtime::TimerState> state;
-
-    bool cancelled() const {
-      return state->cancelled.load(std::memory_order_acquire);
-    }
-  };
-  /// Heap comparator ("a fires later than b"): the ordering is total (seq is
-  /// unique), so heap layout never affects execution order.
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.tie != b.tie) return a.tie > b.tie;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Pops the next live (non-cancelled) event into `out` if its time is
-  /// <= `until`; discards cancelled tombstones along the way. Returns false
-  /// (leaving the queue intact past `until`) when nothing qualifies. Step()
-  /// and Run() share this — the single place the skip rules live.
-  bool PopNextLive(SimTime until, Event* out);
-
-  /// Removes the heap top and retires its cancellation state (balancing the
-  /// tombstone tally when it was a tombstone).
-  Event PopTop();
-
-  /// Rebuilds the heap without its tombstones once they outnumber live
-  /// events: Cancel() leaves entries in place (O(1)), so a rig that arms and
-  /// cancels many timers between pops would otherwise grow the queue without
-  /// bound. Amortised O(1) per schedule — each compaction is O(n) and at
-  /// least half the entries die.
-  void MaybeCompact();
-
-  void Execute(Event& ev);
+  void Execute(runtime::TimerQueue::Entry& ev);
 
   SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
-  std::vector<Event> heap_;  // min-heap under Later via std::*_heap
-  /// Count of cancelled-but-still-queued entries; shared with every handle
-  /// so cancellation can tally without reaching into the kernel.
-  std::shared_ptr<std::atomic<int64_t>> tombstones_;
+  runtime::TimerQueue queue_;
   std::function<void()> post_event_hook_;
   PerturbOptions perturb_;
   std::optional<Rng> perturb_rng_;

@@ -11,9 +11,11 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -212,6 +214,49 @@ TEST_P(RuntimeConformanceTest, StorageForceThenCrashKeepsDurablePrefix) {
   EXPECT_EQ(storage.durable_size(), 3u);
 }
 
+// Mass arm-and-cancel, from the test thread (a non-loop thread on the real
+// backend): the ack-timer churn a busy transport produces. Most timers die
+// before their deadline, so the queue compacts its tombstones on the next
+// arm — without reordering the survivors, which still fire in deadline
+// order with FIFO ties, and without letting one cancelled timer through.
+TEST_P(RuntimeConformanceTest, MassCancelLeavesSurvivorsInDeadlineFifoOrder) {
+  constexpr int kTimers = 1200;
+  std::mutex mu;
+  std::vector<int> order;
+  std::atomic<int> live_fired{0};
+  std::atomic<int> cancelled_fired{0};
+  std::atomic<bool> done{false};
+  SimTime first = rt().Now() + 10 * kTickUs;
+  std::vector<runtime::TimerHandle> handles;
+  std::vector<std::pair<SimTime, int>> expected;
+  for (int i = 0; i < kTimers; ++i) {
+    SimTime when = first + (i % 10) * 1000;
+    bool keep = i % 5 == 0;
+    handles.push_back(rt().ScheduleAt(when, [&, i, keep] {
+      if (!keep) {
+        ++cancelled_fired;
+        return;
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+      ++live_fired;
+    }));
+    if (keep) expected.emplace_back(when, i);
+  }
+  for (int i = 0; i < kTimers; ++i) {
+    if (i % 5 != 0) handles[i].Cancel();
+  }
+  rt().ScheduleAt(first + 10 * 1000, [&] { done = true; });
+  ASSERT_TRUE(WaitUntil([&] { return done.load(); }, 40 * kTickUs));
+  std::sort(expected.begin(), expected.end());  // (deadline, schedule order)
+  std::vector<int> want;
+  for (const auto& e : expected) want.push_back(e.second);
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(live_fired.load(), kTimers / 5);
+  EXPECT_EQ(cancelled_fired.load(), 0);
+  EXPECT_EQ(order, want);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformanceTest,
                          ::testing::Values(Backend::kSim, Backend::kReal),
                          BackendName);
@@ -393,6 +438,57 @@ TEST(UdpConduitTest, SendToNoClusterSiteIsCountedAsASendError) {
   real.conduit().Send(std::move(p));
   EXPECT_EQ(real.conduit().stats().send_errors, 1u);
   EXPECT_EQ(real.conduit().stats().datagrams_sent, 0u);
+}
+
+// A syscall the real runtime cannot work without is refused in every build
+// type, naming the call: without its wakeup pipe a loop would wake only on
+// its poll ceiling, without its socket a site would never receive, and a
+// failing poll() would end the loop thread and leave its site dead. Each
+// case lowers the descriptor limit inside the death-test child only.
+void LimitOpenFiles(rlim_t n) {
+  // First build one runtime with the limit intact: UBSan's vptr check probes
+  // memory through a pipe the first time it meets a class, and caches the
+  // answer, so it must meet the runtime's classes while fds remain.
+  { runtime::Real warm(1); }
+  rlimit rl{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &rl), 0);
+  rl.rlim_cur = n;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &rl), 0);
+}
+
+TEST(RealRuntimeDeathTest, AbortsWhenTheWakeupPipeCannotBeMade) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        LimitOpenFiles(0);
+        runtime::Real real(1);
+      },
+      "pipe\\(\\) failed");
+}
+
+TEST(RealRuntimeDeathTest, AbortsWhenASiteSocketCannotBeMade) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        runtime::EventLoop loop(runtime::EventLoop::Clock::now(), "site-0");
+        LimitOpenFiles(0);
+        runtime::UdpConduit conduit({&loop}, {});
+      },
+      "socket\\(\\) failed");
+}
+
+TEST(RealRuntimeDeathTest, AbortsWhenPollFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        runtime::Real real(1);
+        real.Start();
+        // poll() refuses more descriptors than the limit (EINVAL): the
+        // loop's next wait fails with its wakeup pipe and socket polled.
+        LimitOpenFiles(1);
+        std::this_thread::sleep_for(std::chrono::seconds(5));
+      },
+      "poll\\(\\) failed");
 }
 
 // The packet byte codec round-trips the wire shapes the conduit ships. (The

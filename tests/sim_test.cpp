@@ -1,5 +1,5 @@
-// Unit tests for the discrete-event kernel: ordering, determinism,
-// cancellation, hooks.
+// Unit tests for the discrete-event kernel: virtual time, ordering through
+// the seam, cancellation, hooks, perturbation.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -140,61 +140,54 @@ TEST(KernelTest, ScheduleAtAbsoluteTime) {
   EXPECT_EQ(seen, 123);
 }
 
-// Regression: cancelled events used to stay queued as tombstones forever —
-// a rig that arms and cancels an ack timer per packet grew the queue without
-// bound, and PendingEvents() reported the garbage as backlog.
-TEST(KernelTest, PendingEventsExcludesCancelledTombstones) {
-  Kernel kernel;
-  EventHandle cancelled = kernel.Schedule(5, []() { FAIL(); });
-  kernel.Schedule(10, []() {});
-  cancelled.Cancel();
-  EXPECT_EQ(kernel.PendingEvents(), 1u);  // live only
-  EXPECT_EQ(kernel.QueueEntries(), 2u);   // tombstone still queued
-  EXPECT_FALSE(kernel.Idle());
-  kernel.Run();
-  EXPECT_EQ(kernel.PendingEvents(), 0u);
-  EXPECT_TRUE(kernel.Idle());
-  EXPECT_EQ(kernel.events_executed(), 1u);
-}
-
-TEST(KernelTest, CompactionDropsTombstonesWithoutReorderingLiveEvents) {
-  Kernel kernel;
-  std::vector<int> order;
-  // Interleave live events with a large majority of cancelled ones so the
-  // tombstone count crosses the half-queue compaction threshold.
-  std::vector<EventHandle> doomed;
-  for (int i = 0; i < 64; ++i) {
-    kernel.ScheduleAt(1000 + i, [&order, i]() { order.push_back(i); });
-    for (int j = 0; j < 4; ++j) {
-      doomed.push_back(kernel.ScheduleAt(100 + i, []() { FAIL(); }));
+// What the kernel adds on top of the shared queue (whose tombstone and
+// compaction rules runtime/timer_queue_test pins): the perturbation draws.
+TEST(KernelTest, ShuffledTiesKeepDeadlineOrderAndReplayPerSeed) {
+  auto run = [](uint64_t seed) {
+    Kernel kernel;
+    PerturbOptions p;
+    p.seed = seed;
+    p.shuffle_ties = true;
+    kernel.EnablePerturbation(p);
+    std::vector<int> order;
+    for (int i = 0; i < 32; ++i) {
+      kernel.ScheduleAt(10 + (i / 8) * 10,
+                        [&order, i]() { order.push_back(i); });
     }
+    kernel.Run();
+    return order;
+  };
+  std::vector<int> order = run(1);
+  ASSERT_EQ(order.size(), 32u);
+  EXPECT_EQ(order, run(1));  // a pure function of the seed
+  std::vector<int> fifo(32);
+  for (int i = 0; i < 32; ++i) fifo[i] = i;
+  EXPECT_NE(order, fifo);  // ties were shuffled...
+  for (size_t j = 1; j < order.size(); ++j) {
+    EXPECT_LE(order[j - 1] / 8, order[j] / 8);  // ...deadlines never cross
   }
-  ASSERT_EQ(kernel.QueueEntries(), 64u + 256u);
-  for (EventHandle& h : doomed) h.Cancel();
-  EXPECT_EQ(kernel.PendingEvents(), 64u);
-  // The next schedule trips compaction: tombstones (256) > queue/2.
-  kernel.ScheduleAt(2000, [&order]() { order.push_back(64); });
-  EXPECT_EQ(kernel.QueueEntries(), 65u);  // garbage gone
-  EXPECT_EQ(kernel.PendingEvents(), 65u);
-  kernel.Run();
-  ASSERT_EQ(order.size(), 65u);
-  for (int i = 0; i < 65; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(KernelTest, CancelAfterCompactionIsHarmless) {
+TEST(KernelTest, JitterDelaysEachEventWithinItsBound) {
   Kernel kernel;
-  std::vector<EventHandle> doomed;
-  for (int i = 0; i < 128; ++i) {
-    doomed.push_back(kernel.Schedule(i, []() { FAIL(); }));
+  PerturbOptions p;
+  p.seed = 7;
+  p.max_jitter_us = 5;
+  kernel.EnablePerturbation(p);
+  std::vector<SimTime> fired_at;
+  for (int i = 0; i < 50; ++i) {
+    kernel.ScheduleAt(100, [&]() { fired_at.push_back(kernel.Now()); });
   }
-  for (EventHandle& h : doomed) h.Cancel();
-  kernel.Schedule(500, []() {});  // trips compaction, retires tombstones
-  EXPECT_EQ(kernel.QueueEntries(), 1u);
-  // Double-cancel and cancel-after-retire must not corrupt the tally.
-  for (EventHandle& h : doomed) h.Cancel();
-  EXPECT_EQ(kernel.PendingEvents(), 1u);
-  EXPECT_EQ(kernel.Run(), 1u);
-  EXPECT_TRUE(kernel.Idle());
+  kernel.Run();
+  ASSERT_EQ(fired_at.size(), 50u);
+  for (SimTime t : fired_at) {
+    EXPECT_GE(t, 100);
+    EXPECT_LE(t, 105);
+  }
+  for (size_t j = 1; j < fired_at.size(); ++j) {
+    EXPECT_LE(fired_at[j - 1], fired_at[j]);  // virtual time never runs back
+  }
+  EXPECT_LT(fired_at.front(), fired_at.back());  // the draws spread them
 }
 
 }  // namespace
